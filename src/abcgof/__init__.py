@@ -10,7 +10,7 @@ diagnostic locate the statistics behind a poor fit, and built-in toy and
 coalescent simulators plus a study harness exercise the whole pipeline.
 """
 
-from .adjust import PosteriorSample, adjust_linear, adjusted_posterior, sample_posterior
+from .adjust import PosteriorSample, adjusted_posterior, sample_posterior
 from .core import (
     DataError,
     ObservedStats,
@@ -27,6 +27,7 @@ from .core import (
 from .gof import (
     GofResult,
     GofSettings,
+    PosteriorNull,
     SimulationError,
     Simulator,
     d_post,
@@ -62,6 +63,7 @@ __all__ = [
     "GofSettings",
     "ObservedStats",
     "PcaProjection",
+    "PosteriorNull",
     "PosteriorSample",
     "PowerStudyConfig",
     "PowerStudyResult",
@@ -71,7 +73,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "ToySimulator",
-    "adjust_linear",
     "adjusted_posterior",
     "build_reference_table",
     "d_post",

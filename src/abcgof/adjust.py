@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObservedStats, ReferenceTable, ScalingVector
+from .core import ReferenceTable, ScalingVector, observed_vector
 from .rejection import AcceptanceSet
 
 # Relative tolerance for declaring the weighted normal-equations matrix
@@ -157,10 +157,7 @@ def adjusted_posterior(
     positivity- or interval-constrained parameters inside their support;
     everything else is adjusted on its raw scale.
     """
-    if isinstance(observed, ObservedStats):
-        vec = observed.align(table)
-    else:
-        vec = np.asarray(observed, dtype=float).ravel()
+    vec = observed_vector(observed, table)
     kept = scaling.kept
     scales = scaling.scales[kept]
     std_stats = table.stats[accepted.indices][:, kept] / scales
@@ -173,20 +170,6 @@ def adjusted_posterior(
     adjusted, weights = linear_adjust_matrix(theta, std_stats, std_observed, accepted.distances)
     adjusted = _from_transformed(adjusted, transforms)
     return PosteriorSample(params=adjusted, weights=weights, source=accepted)
-
-
-def adjust_linear(
-    table: ReferenceTable,
-    accepted: AcceptanceSet,
-    observed,
-    scaling: ScalingVector,
-) -> PosteriorSample:
-    """Linear regression adjustment of the accepted parameters, raw scale.
-
-    Any reparameterization (log transforms for positive parameters and the
-    like) is the caller's responsibility; see :func:`adjusted_posterior`.
-    """
-    return adjusted_posterior(table, accepted, observed, scaling)
 
 
 def sample_posterior(sample: PosteriorSample, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -292,44 +292,16 @@ def stats_pi_tajima(loci_carrier_counts, config: LocusConfig) -> np.ndarray:
     return np.array([pis.mean(), ds.mean(), ds.var(ddof=1)])
 
 
-@dataclass(frozen=True, eq=False)
-class SfsVector:
-    """Unfolded site-frequency spectrum: counts[i-1] mutations on i chromosomes."""
-
-    counts: np.ndarray  # length n_chromosomes - 1
-    total_snps: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=int).copy()
-        if np.any(counts < 0):
-            raise ValueError("spectrum counts must be nonnegative")
-        if self.total_snps != counts.sum():
-            raise ValueError("total_snps must equal the sum of the spectrum")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-    def as_stats(self) -> np.ndarray:
-        """The flat statistic vector: total followed by the spectrum."""
-        return np.concatenate([[self.total_snps], self.counts]).astype(float)
-
-
-def pooled_sfs(loci_carrier_counts, n_chromosomes: int) -> SfsVector:
-    """Pool per-mutation carrier counts from all loci into one spectrum."""
-    if loci_carrier_counts:
-        pooled = np.concatenate([np.asarray(c, dtype=int) for c in loci_carrier_counts])
-    else:
-        pooled = np.empty(0, dtype=int)
-    spectrum = np.bincount(pooled, minlength=n_chromosomes)[1:n_chromosomes]
-    return SfsVector(counts=spectrum, total_snps=int(spectrum.sum()))
-
-
 def stats_sfs(loci_carrier_counts, config: LocusConfig) -> np.ndarray:
     """Total mutation count plus the pooled unfolded site-frequency spectrum.
 
     Entry i of the spectrum counts mutations carried by exactly i
     chromosomes, for i from 1 to n-1.
     """
-    return pooled_sfs(loci_carrier_counts, config.n_chromosomes).as_stats()
+    n = config.n_chromosomes
+    pooled = [np.asarray(c, dtype=int) for c in loci_carrier_counts]
+    spectrum = np.bincount(np.concatenate(pooled or [np.empty(0, dtype=int)]), minlength=n)[1:n]
+    return np.concatenate([[spectrum.sum()], spectrum]).astype(float)
 
 
 def simulate_locus_set(

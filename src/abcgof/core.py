@@ -145,6 +145,17 @@ class ObservedStats:
         return self.values[[position[n] for n in table.stat_names]]
 
 
+def observed_vector(observed, table: ReferenceTable) -> np.ndarray:
+    """The observed statistics as a vector in the table's statistic order.
+
+    An :class:`ObservedStats` is aligned to the table by name; anything else
+    is taken as a raw vector already in table statistic order.
+    """
+    if isinstance(observed, ObservedStats):
+        return observed.align(table)
+    return np.asarray(observed, dtype=float).ravel()
+
+
 @dataclass(frozen=True, eq=False)
 class ScalingVector:
     """Per-statistic MAD scales; zero-MAD columns are dropped from distances."""

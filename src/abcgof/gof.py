@@ -29,6 +29,7 @@ from .core import (
     ScalingVector,
     fit_scaling,
     mad,
+    observed_vector,
     scaled_distances,
 )
 from .parallel import parallel_map
@@ -65,12 +66,27 @@ class Simulator(abc.ABC):
 
 
 class SimulationError(RuntimeError):
-    """A simulator failed; carries the parameter draw that triggered it."""
+    """A simulator failed; carries the parameter draw (and table row) that triggered it."""
 
-    def __init__(self, theta, cause: Exception):
+    def __init__(self, theta, cause: Exception, row: int | None = None):
         self.theta = np.asarray(theta, dtype=float)
         self.cause = cause
-        super().__init__(f"simulator failed for parameters {self.theta.tolist()}: {cause}")
+        self.row = row
+        where = "" if row is None else f" at reference-table row {row}"
+        super().__init__(f"simulator failed{where} for parameters {self.theta.tolist()}: {cause}")
+
+
+def simulate_checked(
+    simulator: Simulator, theta, rng: np.random.Generator, row: int | None = None
+) -> np.ndarray:
+    """One simulator call; an exception or non-finite output raises SimulationError."""
+    try:
+        stats = np.asarray(simulator.simulate(theta, rng), dtype=float)
+    except Exception as exc:  # noqa: BLE001 - report the offending draw
+        raise SimulationError(theta, exc, row) from exc
+    if not np.isfinite(stats).all():
+        raise SimulationError(theta, ValueError("non-finite simulated statistics"), row)
+    return stats
 
 
 @dataclass(frozen=True)
@@ -128,13 +144,6 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(int(seed))
-
-
-def _seed_int(seed) -> int:
-    if isinstance(seed, np.random.SeedSequence):
-        entropy = seed.entropy
-        return int(entropy if not isinstance(entropy, (list, tuple)) else entropy[0])
-    return int(seed)
 
 
 def p_value(observed: float, nulls) -> float:
@@ -216,13 +225,7 @@ def posterior_replicates(
     draws = sample_posterior(posterior, n_prime, rng)
     replicates = np.empty((n_prime, table.n_stats))
     for i, theta in enumerate(draws):
-        try:
-            replicates[i] = simulator.simulate(theta, rng)
-        except Exception as exc:  # noqa: BLE001 - report the offending draw
-            raise SimulationError(theta, exc) from exc
-    if not np.all(np.isfinite(replicates)):
-        bad = np.flatnonzero(~np.all(np.isfinite(replicates), axis=1))[0]
-        raise SimulationError(draws[bad], ValueError("non-finite simulated statistics"))
+        replicates[i] = simulate_checked(simulator, theta, rng)
     return replicates
 
 
@@ -251,63 +254,33 @@ def d_post(
     simulator: Simulator,
     n_prime: int,
     rng: np.random.Generator,
+    null_pooled: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean scaled distance from the observed statistics to posterior replicates.
 
     Returns the statistic and the raw n' x k replicate matrix (reusable for
-    posterior predictive checks). Distances use a MAD scaling refit on the
-    replicate matrix, not the prior-table scaling.
+    posterior predictive checks). Distances use a MAD scaling refit on
+    replicates, not the prior-table scaling: on `null_pooled` (the pooled
+    replicates of :func:`null_distribution_post`) extended with these n'
+    replicates, or on the n' alone when `null_pooled` is None.
     """
-    if isinstance(observed, ObservedStats):
-        vec = observed.align(table)
-    else:
-        vec = np.asarray(observed, dtype=float).ravel()
+    vec = observed_vector(observed, table)
     replicates = posterior_replicates(table, vec, scaling, rate, simulator, n_prime, rng)
-    rscaling = replicate_scaling(replicates, scaling)
-    value = float(scaled_distances(replicates, vec, rscaling).mean())
-    return value, replicates
+    return observed_d_post(vec, replicates, null_pooled, scaling), replicates
 
 
 @dataclass(frozen=True, eq=False)
-class _PosteriorNullParts:
+class PosteriorNull:
+    """Leave-one-out null distribution of the posterior statistic.
+
+    `rows` are the M pseudo-observed table rows and `values` their null
+    statistics. `pooled` stacks all M x n' replicates, row j's n' in block j
+    (``np.split(pooled, M)[j]``); it is the scaling pool for :func:`d_post`.
+    """
+
     rows: np.ndarray
     values: np.ndarray
-    replicates: list  # one n' x k matrix per pseudo-observed row
     pooled: np.ndarray  # (M * n') x k
-
-
-def _null_post_parts(
-    table: ReferenceTable,
-    scaling: ScalingVector,
-    rate: float,
-    simulator: Simulator,
-    n_prime: int,
-    M: int,
-    seed,
-    threads: int = 1,
-) -> _PosteriorNullParts:
-    root = _seed_sequence(seed)
-    rows_seed, replicate_root = root.spawn(2)
-    rows = _pseudo_observed_rows(table.n, M, rows_seed)
-    streams = replicate_root.spawn(M)
-
-    def one(job):
-        row, stream = job
-        rng = np.random.default_rng(stream)
-        return posterior_replicates(
-            table, table.stats[row], scaling, rate, simulator, n_prime, rng, exclude=int(row)
-        )
-
-    replicates = parallel_map(one, list(zip(rows, streams)), threads=threads)
-    pooled = np.vstack(replicates)
-    pooled_scaling = replicate_scaling(pooled, scaling)
-    values = np.array(
-        [
-            scaled_distances(reps, table.stats[row], pooled_scaling).mean()
-            for row, reps in zip(rows, replicates)
-        ]
-    )
-    return _PosteriorNullParts(rows=rows, values=values, replicates=replicates, pooled=pooled)
 
 
 def null_distribution_post(
@@ -319,7 +292,7 @@ def null_distribution_post(
     M: int,
     seed,
     threads: int = 1,
-) -> np.ndarray:
+) -> PosteriorNull:
     """Leave-one-out null distribution of the posterior statistic.
 
     Two-pass: all M x n' replicates are simulated first, their pooled matrix
@@ -327,8 +300,26 @@ def null_distribution_post(
     that common scaling. Replicate j derives its random stream from
     (master seed, j), so any worker count gives identical output.
     """
-    parts = _null_post_parts(table, scaling, rate, simulator, n_prime, M, seed, threads=threads)
-    return parts.values
+    rows_seed, replicate_root = _seed_sequence(seed).spawn(2)
+    rows = _pseudo_observed_rows(table.n, M, rows_seed)
+    streams = replicate_root.spawn(M)
+
+    def one(job):
+        row, stream = job
+        rng = np.random.default_rng(stream)
+        return posterior_replicates(
+            table, table.stats[row], scaling, rate, simulator, n_prime, rng, exclude=int(row)
+        )
+
+    pooled = np.vstack(parallel_map(one, list(zip(rows, streams)), threads=threads))
+    pooled_scaling = replicate_scaling(pooled, scaling)
+    values = np.array(
+        [
+            scaled_distances(reps, table.stats[row], pooled_scaling).mean()
+            for row, reps in zip(rows, np.split(pooled, M))
+        ]
+    )
+    return PosteriorNull(rows=rows, values=values, pooled=pooled)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +343,7 @@ def gfit(
         observed_value=observed_value,
         null_values=nulls,
         p_value=p_value(observed_value, nulls),
-        settings=GofSettings(acceptance_rate=rate, M=M, n_prime=None, seed=_seed_int(seed)),
+        settings=GofSettings(acceptance_rate=rate, M=M, n_prime=None, seed=int(seed)),
     )
 
 
@@ -374,22 +365,20 @@ def gfit_post(
     own simulations participate in the pool.
     """
     scaling = fit_scaling(table)
-    root = _seed_sequence(seed)
-    observed_seed, null_seed = root.spawn(2)
-    parts = _null_post_parts(
+    observed_seed, null_seed = _seed_sequence(seed).spawn(2)
+    null = null_distribution_post(
         table, scaling, rate, simulator, n_prime, M, null_seed, threads=threads
     )
-    vec = observed.align(table)
-    observed_reps = posterior_replicates(
-        table, vec, scaling, rate, simulator, n_prime, np.random.default_rng(observed_seed)
+    rng = np.random.default_rng(observed_seed)
+    observed_value, _ = d_post(
+        table, observed, scaling, rate, simulator, n_prime, rng, null.pooled
     )
-    observed_value = observed_d_post(vec, observed_reps, parts.pooled, scaling)
     return GofResult(
         statistic_kind="post",
         observed_value=observed_value,
-        null_values=parts.values,
-        p_value=p_value(observed_value, parts.values),
-        settings=GofSettings(acceptance_rate=rate, M=M, n_prime=n_prime, seed=_seed_int(seed)),
+        null_values=null.values,
+        p_value=p_value(observed_value, null.values),
+        settings=GofSettings(acceptance_rate=rate, M=M, n_prime=n_prime, seed=int(seed)),
     )
 
 
@@ -405,9 +394,8 @@ def observed_d_post(
     extended with the observed run's replicates; otherwise the observed
     run's replicates alone.
     """
-    if null_pooled is None:
-        pool = observed_replicates
-    else:
+    pool = observed_replicates
+    if null_pooled is not None:
         pool = np.vstack([null_pooled, observed_replicates])
     rscaling = replicate_scaling(pool, prior_scaling)
     return float(scaled_distances(observed_replicates, observed_vec, rscaling).mean())

@@ -22,12 +22,12 @@ from scipy import stats as sps
 from .core import fit_scaling
 from .gof import (
     Simulator,
-    _null_post_parts,
+    d_post,
     d_prior,
+    null_distribution_post,
     null_distribution_prior,
-    observed_d_post,
     p_value,
-    posterior_replicates,
+    simulate_checked,
 )
 from .models import build_reference_table, get_simulator
 from .parallel import parallel_map
@@ -120,37 +120,27 @@ def _run_study(config: PowerStudyConfig, null_sim: Simulator, alt_sim: Simulator
             table, scaling, rate, config.M, null_seed, threads=config.threads
         )
 
-        def one(stream):
-            rng = np.random.default_rng(stream)
-            theta = alt_sim.draw_prior(rng)
-            observed = alt_sim.simulate(theta, rng)
-            value = d_prior(table, observed, scaling, rate)
-            return p_value(value, nulls)
+        def statistic(observed, rng):
+            return d_prior(table, observed, scaling, rate)
 
     else:
-        parts = _null_post_parts(
-            table,
-            scaling,
-            rate,
-            null_sim,
-            config.n_prime,
-            config.M,
-            null_seed,
+        null = null_distribution_post(
+            table, scaling, rate, null_sim, config.n_prime, config.M, null_seed,
             threads=config.threads,
         )
+        nulls = null.values
 
-        def one(stream):
-            rng = np.random.default_rng(stream)
-            theta = alt_sim.draw_prior(rng)
-            observed = alt_sim.simulate(theta, rng)
-            replicates = posterior_replicates(
-                table, observed, scaling, rate, null_sim, config.n_prime, rng
-            )
-            value = observed_d_post(observed, replicates, parts.pooled, scaling)
-            return p_value(value, parts.values)
+        def statistic(observed, rng):
+            return d_post(
+                table, observed, scaling, rate, null_sim, config.n_prime, rng, null.pooled
+            )[0]
 
-    p_values = np.array(parallel_map(one, dataset_streams, threads=config.threads))
-    return p_values
+    def one(stream):
+        rng = np.random.default_rng(stream)
+        observed = simulate_checked(alt_sim, alt_sim.draw_prior(rng), rng)
+        return p_value(statistic(observed, rng), nulls)
+
+    return np.array(parallel_map(one, dataset_streams, threads=config.threads))
 
 
 def _finish(config: PowerStudyConfig, p_values: np.ndarray, echo: dict) -> PowerStudyResult:

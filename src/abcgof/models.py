@@ -12,7 +12,7 @@ import numpy as np
 
 from . import coalescent, toy
 from .core import ReferenceTable
-from .gof import Simulator
+from .gof import Simulator, simulate_checked
 from .parallel import parallel_map
 
 TOY_MODELS = ("toy-gaussian", "toy-laplace")
@@ -115,7 +115,8 @@ def build_reference_table(
     """Simulate a reference table: n prior draws and their statistics.
 
     Each row derives its random stream from (seed, row index), so the table
-    is identical for any worker count.
+    is identical for any worker count. A failing simulator call raises
+    :class:`~abcgof.gof.SimulationError` naming the row and its parameters.
     """
     if n_sims < 2:
         raise ValueError("a reference table needs at least 2 rows")
@@ -135,7 +136,7 @@ def build_reference_table(
         for i in rows:
             rng = np.random.default_rng(streams[i])
             theta = simulator.draw_prior(rng)
-            out.append((i, theta, simulator.simulate(theta, rng)))
+            out.append((i, theta, simulate_checked(simulator, theta, rng, row=i)))
         return out
 
     for block in parallel_map(run_block, blocks, threads=threads):

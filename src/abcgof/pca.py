@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, ObservedStats, ReferenceTable, ScalingVector
+from .core import DataError, ReferenceTable, ScalingVector, observed_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,10 +46,7 @@ def pca_fit(table: ReferenceTable, observed, scaling: ScalingVector) -> PcaProje
     kept = scaling.kept
     if kept.size < 2:
         raise DataError("PCA needs at least 2 usable statistics")
-    if isinstance(observed, ObservedStats):
-        vec = observed.align(table)
-    else:
-        vec = np.asarray(observed, dtype=float).ravel()
+    vec = observed_vector(observed, table)
 
     standardized = table.stats[:, kept] / scaling.scales[kept]
     mean = standardized.mean(axis=0)

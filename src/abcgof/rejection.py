@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, ObservedStats, ReferenceTable, ScalingVector, scaled_distances
+from .core import DataError, ReferenceTable, ScalingVector, observed_vector, scaled_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,10 +74,7 @@ def reject(
     """
     if not 0 < rate <= 1:
         raise ValueError(f"acceptance rate must be in (0, 1], got {rate}")
-    if isinstance(observed, ObservedStats):
-        vec = observed.align(table)
-    else:
-        vec = np.asarray(observed, dtype=float).ravel()
+    vec = observed_vector(observed, table)
     dist = scaled_distances(table.stats, vec, scaling)
 
     n_effective = table.n

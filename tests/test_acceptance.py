@@ -10,10 +10,12 @@ simulation protocol, while the posterior-statistic targets all are.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,10 +473,14 @@ def test_criterion_7_coalescent_analytics():
 
 
 def run_cli(*argv, cwd):
+    # a relative PYTHONPATH would not resolve from cwd, so point at this package
+    package_root = str(Path(abcgof.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "abcgof.cli", *map(str, argv)],
         capture_output=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout

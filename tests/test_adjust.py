@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from abcgof import adjust_linear, adjusted_posterior, fit_scaling, reject, sample_posterior
+from abcgof import adjusted_posterior, fit_scaling, reject, sample_posterior
 from abcgof.adjust import PosteriorSample, kernel_weights
 
 from conftest import make_table
@@ -22,7 +22,7 @@ def test_exact_linear_relation_collapses_to_observed_prediction():
     table = make_table(s, params=2 * s + 1)
     scaling = fit_scaling(table)
     accepted = reject(table, [0.0], scaling, rate=1.0)
-    sample = adjust_linear(table, accepted, [0.0], scaling)
+    sample = adjusted_posterior(table, accepted, [0.0], scaling)
     assert sample.params[:, 0] == pytest.approx(np.ones(6), abs=1e-10)
 
 
@@ -32,7 +32,7 @@ def test_zero_distance_acceptance_keeps_raw_parameters():
     scaling = fit_scaling(table)
     accepted = reject(table, [5.0], scaling, rate=0.5)
     assert np.all(accepted.distances == 0)
-    sample = adjust_linear(table, accepted, [5.0], scaling)
+    sample = adjusted_posterior(table, accepted, [5.0], scaling)
     assert np.array_equal(sample.params[:, 0], table.params[accepted.indices, 0])
     assert sample.weights == pytest.approx(np.full(4, 0.25))
 
@@ -44,7 +44,7 @@ def test_constant_regressors_fall_back_to_identity_with_warning():
     accepted = reject(table, [4.0], scaling, rate=0.5)
     assert np.all(accepted.distances == accepted.distances[0])
     with pytest.warns(UserWarning, match="singular"):
-        sample = adjust_linear(table, accepted, [4.0], scaling)
+        sample = adjusted_posterior(table, accepted, [4.0], scaling)
     assert np.array_equal(sample.params[:, 0], table.params[accepted.indices, 0])
     # all rows at the same distance: the kernel degenerates to uniform weights
     assert sample.weights == pytest.approx(np.full(4, 0.25))
@@ -59,7 +59,7 @@ def test_kernel_boundary_row_gets_zero_weight_but_stays(rng):
     table = make_table(rng.standard_normal(30), params=rng.standard_normal(30))
     scaling = fit_scaling(table)
     accepted = reject(table, [0.0], scaling, rate=0.5)
-    sample = adjust_linear(table, accepted, [0.0], scaling)
+    sample = adjusted_posterior(table, accepted, [0.0], scaling)
     assert len(sample.weights) == len(accepted)
     assert sample.weights[-1] == 0.0
     assert sample.weights.sum() == pytest.approx(1.0)
@@ -73,7 +73,7 @@ def test_slopes_match_wls_oracle(rng):
     scaling = fit_scaling(table)
     observed = np.array([0.3])
     accepted = reject(table, observed, scaling, rate=0.5)
-    sample = adjust_linear(table, accepted, observed, scaling)
+    sample = adjusted_posterior(table, accepted, observed, scaling)
 
     z = table.stats[accepted.indices, 0] / scaling.scales[0]
     z_obs = observed[0] / scaling.scales[0]
@@ -88,7 +88,7 @@ def test_zero_slope_leaves_parameters_untouched(rng):
     table = make_table(s, params=np.full(30, 7.5))
     scaling = fit_scaling(table)
     accepted = reject(table, [0.0], scaling, rate=0.6)
-    sample = adjust_linear(table, accepted, [0.0], scaling)
+    sample = adjusted_posterior(table, accepted, [0.0], scaling)
     assert sample.params[:, 0] == pytest.approx(np.full(len(accepted), 7.5), abs=1e-10)
 
 
@@ -102,7 +102,7 @@ def test_affine_equivariance(rng):
         table = make_table(s, params=params)
         scaling = fit_scaling(table)
         accepted = reject(table, observed, scaling, rate=0.4)
-        return adjust_linear(table, accepted, observed, scaling).params[:, 0]
+        return adjusted_posterior(table, accepted, observed, scaling).params[:, 0]
 
     direct = run(a * theta + b)
     derived = a * run(theta) + b
@@ -114,7 +114,7 @@ def test_insufficient_rows_raise():
     scaling = fit_scaling(table)
     accepted = reject(table, [0.0], scaling, rate=0.3)  # 2 rows < 1 + 1 + 2
     with pytest.raises(ValueError, match="accepted rows"):
-        adjust_linear(table, accepted, [0.0], scaling)
+        adjusted_posterior(table, accepted, [0.0], scaling)
 
 
 def test_adjusted_mean_beats_raw_mean_on_linear_data():
@@ -133,7 +133,7 @@ def test_adjusted_mean_beats_raw_mean_on_linear_data():
         truth = 9.3
         observed = np.array([truth + 0.1 * rng.standard_normal()])
         accepted = reject(table, observed, scaling, rate=0.5)
-        sample = adjust_linear(table, accepted, observed, scaling)
+        sample = adjusted_posterior(table, accepted, observed, scaling)
         raw_err = abs(table.params[accepted.indices, 0].mean() - truth)
         adj_err = abs(np.average(sample.params[:, 0], weights=sample.weights) - truth)
         wins += adj_err < raw_err
@@ -168,7 +168,7 @@ def test_identity_transforms_match_plain_adjustment(rng):
     table = make_table(s, params=2 * s + rng.standard_normal(40) * 0.1)
     scaling = fit_scaling(table)
     accepted = reject(table, [0.0], scaling, rate=0.5)
-    plain = adjust_linear(table, accepted, [0.0], scaling)
+    plain = adjusted_posterior(table, accepted, [0.0], scaling)
     tagged = adjusted_posterior(table, accepted, [0.0], scaling, transforms=("identity",))
     assert np.array_equal(plain.params, tagged.params)
 
@@ -228,7 +228,7 @@ def test_sampling_is_deterministic_per_seed():
     table = make_table(np.arange(9.0), params=np.arange(9.0))
     scaling = fit_scaling(table)
     accepted = reject(table, [4.0], scaling, rate=0.5)
-    big = adjust_linear(table, accepted, [4.0], scaling)
+    big = adjusted_posterior(table, accepted, [4.0], scaling)
     a = sample_posterior(big, 50, np.random.default_rng(42))
     b = sample_posterior(big, 50, np.random.default_rng(42))
     assert np.array_equal(a, b)

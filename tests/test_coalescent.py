@@ -338,14 +338,7 @@ def test_unknown_label_rejected(rng):
         demography_from_params("exponential", [1.0])
 
 
-def test_sfs_vector_validates_conservation():
-    from abcgof.coalescent import SfsVector, pooled_sfs
-
-    vec = pooled_sfs([np.array([1, 1, 3]), np.array([2])], 4)
-    assert vec.total_snps == 4
-    assert vec.counts.tolist() == [2, 1, 1]
-    assert vec.as_stats().tolist() == [4.0, 2.0, 1.0, 1.0]
-    with pytest.raises(ValueError, match="sum of the spectrum"):
-        SfsVector(counts=[1, 0, 0], total_snps=2)
-    with pytest.raises(ValueError, match="nonnegative"):
-        SfsVector(counts=[-1, 1, 0], total_snps=0)
+def test_stats_sfs_pools_carrier_counts_across_loci():
+    config = LocusConfig(n_chromosomes=4, n_loci=2)
+    stats = stats_sfs([np.array([1, 1, 3]), np.array([2])], config)
+    assert stats.tolist() == [4.0, 2.0, 1.0, 1.0]  # total, then counts on 1..n-1

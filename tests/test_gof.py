@@ -9,6 +9,7 @@ from abcgof import (
     GofSettings,
     SimulationError,
     Simulator,
+    build_reference_table,
     fit_scaling,
     gfit,
     gfit_post,
@@ -19,7 +20,7 @@ from abcgof import (
     replicate_scaling,
 )
 from abcgof.core import ScalingVector, scaled_distances
-from abcgof.gof import _null_post_parts, d_post, d_prior, observed_d_post
+from abcgof.gof import d_post, d_prior, observed_d_post
 
 from conftest import make_observed, make_table
 
@@ -73,6 +74,23 @@ class FailingSimulator(EchoSimulator):
 
     def simulate(self, theta, rng):
         raise RuntimeError("boom")
+
+
+class FlakySimulator(EchoSimulator):
+    """Echoes theta, but fails (raise or NaN) on draws above a threshold."""
+
+    name = "flaky"
+
+    def __init__(self, above, failure):
+        self.above = above
+        self.failure = failure
+
+    def simulate(self, theta, rng):
+        if theta[0] <= self.above:
+            return super().simulate(theta, rng)
+        if self.failure == "raise":
+            raise RuntimeError("boom")
+        return np.array([np.nan])
 
 
 def echo_table(n=12):
@@ -238,6 +256,28 @@ def test_simulation_error_carries_the_draw():
     assert info.value.theta.shape == (1,)
 
 
+@pytest.mark.parametrize("failure", ["raise", "nan"])
+def test_table_build_failure_names_row_and_draw(failure):
+    sim = FlakySimulator(9.0, failure)
+    with pytest.raises(SimulationError, match="reference-table row") as info:
+        build_reference_table(sim, 20, seed=3)
+    row = info.value.row
+    rng = np.random.default_rng(np.random.SeedSequence(3).spawn(20)[row])
+    assert info.value.theta.tolist() == sim.draw_prior(rng).tolist()
+    assert info.value.theta[0] > 9.0
+    assert f"row {row} " in str(info.value)
+
+
+def test_nan_replicate_is_a_simulation_error_naming_the_draw():
+    table = echo_table()
+    scaling = fit_scaling(table)
+    with pytest.raises(SimulationError, match="non-finite") as info:
+        posterior_replicates(
+            table, [9.5], scaling, 0.5, FlakySimulator(0.0, "nan"), 3, np.random.default_rng(0)
+        )
+    assert info.value.row is None and info.value.theta.shape == (1,)
+
+
 def test_replicate_scaling_prefers_replicate_mad(rng):
     prior = ScalingVector(scales=[2.0, 3.0], dropped=frozenset())
     reps = np.column_stack([rng.standard_normal(200), np.full(200, 7.0)])
@@ -263,11 +303,11 @@ def test_post_nulls_echo_pipeline_is_exact_fit():
     # (distances are zero up to roundoff, scaled by the prior-scale fallback).
     table = echo_table(8)
     scaling = fit_scaling(table)
-    nulls = null_distribution_post(
+    null = null_distribution_post(
         table, scaling, 1.0, EchoSimulator(), n_prime=1, M=1, seed=5
     )
-    assert nulls.shape == (1,)
-    assert abs(nulls[0]) < 1e-8
+    assert null.values.shape == (1,) and null.pooled.shape == (1, 1)
+    assert abs(null.values[0]) < 1e-8
 
 
 def test_post_nulls_deterministic_and_thread_invariant():
@@ -277,20 +317,23 @@ def test_post_nulls_deterministic_and_thread_invariant():
     a = null_distribution_post(table, scaling, 0.5, sim, n_prime=4, M=6, seed=2)
     b = null_distribution_post(table, scaling, 0.5, sim, n_prime=4, M=6, seed=2)
     c = null_distribution_post(table, scaling, 0.5, sim, n_prime=4, M=6, seed=2, threads=3)
-    assert np.array_equal(a, b) and np.array_equal(a, c)
+    for field in ("rows", "values", "pooled"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert np.array_equal(getattr(a, field), getattr(c, field))
 
 
 def test_post_nulls_use_pooled_scaling_and_are_permutation_invariant():
     table = echo_table(16)
     scaling = fit_scaling(table)
     sim = NoisySimulator()
-    parts = _null_post_parts(table, scaling, 0.5, sim, n_prime=4, M=6, seed=2)
-    pooled_scaling = replicate_scaling(parts.pooled, scaling)
-    for row, reps, value in zip(parts.rows, parts.replicates, parts.values):
+    null = null_distribution_post(table, scaling, 0.5, sim, n_prime=4, M=6, seed=2)
+    assert null.pooled.shape == (6 * 4, 1)
+    pooled_scaling = replicate_scaling(null.pooled, scaling)
+    for row, reps, value in zip(null.rows, np.split(null.pooled, 6), null.values):
         recomputed = scaled_distances(reps, table.stats[row], pooled_scaling).mean()
         assert value == pytest.approx(recomputed, rel=1e-12)
     # permuting the pooled replicate rows cannot change the shared scaling
-    shuffled = parts.pooled[np.random.default_rng(0).permutation(parts.pooled.shape[0])]
+    shuffled = null.pooled[np.random.default_rng(0).permutation(null.pooled.shape[0])]
     shuffled_scaling = replicate_scaling(shuffled, scaling)
     assert np.array_equal(shuffled_scaling.scales, pooled_scaling.scales)
 
@@ -373,14 +416,13 @@ def test_gfit_post_composition_is_pinned():
     scaling = fit_scaling(table)
     root = np.random.SeedSequence(seed)
     observed_seed, null_seed = root.spawn(2)
-    parts = _null_post_parts(table, scaling, rate, sim, n_prime, M, null_seed)
-    reps = posterior_replicates(
-        table, np.array([5.0]), scaling, rate, sim, n_prime, np.random.default_rng(observed_seed)
-    )
-    assert np.array_equal(result.null_values, parts.values)
-    expected = observed_d_post(np.array([5.0]), reps, parts.pooled, scaling)
+    null = null_distribution_post(table, scaling, rate, sim, n_prime, M, null_seed)
+    rng = np.random.default_rng(observed_seed)
+    expected, reps = d_post(table, [5.0], scaling, rate, sim, n_prime, rng, null.pooled)
+    assert np.array_equal(result.null_values, null.values)
+    assert expected == observed_d_post(np.array([5.0]), reps, null.pooled, scaling)
     assert result.observed_value == expected
-    assert result.p_value == p_value(expected, parts.values)
+    assert result.p_value == p_value(expected, null.values)
     assert result.settings == GofSettings(rate, M, n_prime, seed)
 
 

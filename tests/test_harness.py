@@ -8,11 +8,12 @@ from abcgof import (
     emit_pvalue_histogram,
     fit_scaling,
     get_simulator,
+    null_distribution_post,
     null_distribution_prior,
     run_calibration,
     run_power,
 )
-from abcgof.gof import d_prior, p_value
+from abcgof.gof import d_post, d_prior, p_value
 from abcgof.harness import one_sided_two_proportion_p
 
 
@@ -79,6 +80,30 @@ def test_study_reuses_one_table_and_one_null_distribution():
         observed = sim.simulate(theta, rng)
         value = d_prior(table, observed, scaling, config.acceptance_rate)
         assert result.p_values[i] == p_value(value, nulls)
+
+
+def test_post_study_reuses_one_table_and_one_null_distribution():
+    # The posterior twin: same seed layout, the observed statistic is d_post
+    # under the null distribution's pooled replicate scaling.
+    config = tiny_config(
+        statistic="post", n_sims=300, n_datasets=12, M=8, n_prime=10, acceptance_rate=0.1
+    )
+    result = run_calibration(config)
+
+    root = np.random.SeedSequence(config.master_seed)
+    table_seed, null_seed, data_root = root.spawn(3)
+    sim = get_simulator("toy-gaussian")
+    table = build_reference_table(sim, config.n_sims, table_seed)
+    scaling = fit_scaling(table)
+    rate = config.acceptance_rate
+    null = null_distribution_post(table, scaling, rate, sim, config.n_prime, config.M, null_seed)
+    streams = data_root.spawn(config.n_datasets)
+    for i in (0, 5, 11):
+        rng = np.random.default_rng(streams[i])
+        theta = sim.draw_prior(rng)
+        observed = sim.simulate(theta, rng)
+        value, _ = d_post(table, observed, scaling, rate, sim, config.n_prime, rng, null.pooled)
+        assert result.p_values[i] == p_value(value, null.values)
 
 
 def test_power_study_runs_and_validates_models():
