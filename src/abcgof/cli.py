@@ -32,7 +32,6 @@ from .core import (
 from .gof import SimulationError, gfit, gfit_post, posterior_replicates
 from .harness import PowerStudyConfig, emit_pvalue_histogram, run_calibration, run_power
 from .models import STAT_SETS, TOY_MODELS, build_reference_table, get_simulator
-from .parallel import default_threads
 
 try:
     __version__ = metadata.version("abcgof")
@@ -56,8 +55,8 @@ def _add_common(parser, *, table=False, observed=False, model=False):
     parser.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="worker threads (default: ABCGOF_THREADS or 1); never changes results",
+        default=1,
+        help="worker threads; never changes results",
     )
     parser.add_argument("--out", type=Path, default=None, help="directory for output files")
     if table:
@@ -135,10 +134,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _threads(args) -> int:
-    return args.threads if args.threads is not None else default_threads()
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -209,7 +204,7 @@ def _check_model_stats(simulator, table):
 
 def _cmd_simulate(args, run: _Run) -> int:
     simulator = _model(args)
-    table = build_reference_table(simulator, args.n, args.seed, threads=_threads(args))
+    table = build_reference_table(simulator, args.n, args.seed, threads=args.threads)
     if run.out_dir is None:
         run.set_stdout(reference_table_tsv(table))
     else:
@@ -220,7 +215,7 @@ def _cmd_simulate(args, run: _Run) -> int:
 
 def _cmd_gfit(args, run: _Run) -> int:
     table, observed = _load_inputs(args)
-    result = gfit(table, observed, args.rate, args.M, args.seed, threads=_threads(args))
+    result = gfit(table, observed, args.rate, args.M, args.seed, threads=args.threads)
     text = result.to_json() + "\n"
     run.set_stdout(text)
     run.add_file("gfit.json", text)
@@ -239,7 +234,7 @@ def _cmd_gfit_post(args, run: _Run) -> int:
         args.n_prime,
         args.M,
         args.seed,
-        threads=_threads(args),
+        threads=args.threads,
     )
     text = result.to_json() + "\n"
     run.set_stdout(text)
@@ -252,11 +247,11 @@ def _cmd_ppc(args, run: _Run) -> int:
     simulator = _model(args)
     _check_model_stats(simulator, table)
     scaling = fit_scaling(table)
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    replicates = posterior_replicates(
-        table, observed.align(table), scaling, args.rate, simulator, args.n_prime, rng
-    )
     obs = ObservedStats(stat_names=table.stat_names, values=observed.align(table))
+    rng = np.random.default_rng(args.seed)
+    replicates = posterior_replicates(
+        table, obs.values, scaling, args.rate, simulator, args.n_prime, rng
+    )
     report = ppc.ppc_report(replicates, obs)
     histograms = ppc.ppc_histogram_data(replicates, obs, args.bins)
     text = report.to_json() + "\n"
@@ -302,7 +297,7 @@ def _cmd_study(args, run: _Run) -> int:
         n_prime=args.n_prime,
         alpha=args.alpha,
         master_seed=args.seed,
-        threads=_threads(args),
+        threads=args.threads,
         model_options=options,
     )
     result = run_calibration(config) if args.mode == "calibrate" else run_power(config)
@@ -316,13 +311,21 @@ def _cmd_study(args, run: _Run) -> int:
 def _cmd_rerun(args, run: _Run) -> int:
     try:
         manifest = json.loads(args.manifest.read_text(encoding="utf-8"))
-        argv = manifest["argv"]
+        argv, inputs = manifest["argv"], manifest["inputs"]
     except FileNotFoundError:
         raise DataError(f"no such file: {args.manifest}") from None
     except (json.JSONDecodeError, KeyError) as exc:
         raise DataError(f"{args.manifest} is not a run manifest: {exc}") from None
     if not isinstance(argv, list) or not argv:
         raise DataError(f"{args.manifest} has no recorded argv")
+    if not isinstance(inputs, dict):
+        raise DataError(f"{args.manifest} has no recorded input digests")
+    for path, recorded in inputs.items():
+        current = _sha256(Path(path))
+        if current != recorded:
+            raise DataError(
+                f"input {path} changed since the run: sha256 {current}, manifest has {recorded}"
+            )
     return main([str(a) for a in argv])
 
 

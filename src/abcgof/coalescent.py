@@ -98,14 +98,13 @@ class DemographyModel:
 class LocusConfig:
     n_chromosomes: int = 20
     n_loci: int = 50
-    locus_length: int = 2000
     theta: float = 5.0
 
     def __post_init__(self):
         if self.n_chromosomes < 2:
             raise ValueError("need at least 2 chromosomes")
-        if self.n_loci < 1 or self.locus_length < 1:
-            raise ValueError("locus counts and lengths must be positive")
+        if self.n_loci < 1:
+            raise ValueError("the locus count must be positive")
         if self.theta < 0:
             raise ValueError("theta must be nonnegative")
 

@@ -8,9 +8,8 @@ get a null distribution by repeatedly treating one table row as if it were
 the observed data (leave-one-out pseudo-observed datasets), and the P-value
 is the fraction of null values at least as large as the observed one.
 
-Randomness is derived from a single master seed through `SeedSequence`
-spawning: replicate j always receives the stream derived for index j, so
-results are identical for any worker count and execution order.
+Every random stream comes from one master seed; the layout is documented in
+:mod:`abcgof.parallel`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .core import (
     observed_vector,
     scaled_distances,
 )
-from .parallel import parallel_map
+from .parallel import children, parallel_map, seeded_map
 from .rejection import reject
 
 
@@ -89,6 +88,14 @@ def simulate_checked(
     return stats
 
 
+def prior_predictive(
+    simulator: Simulator, rng: np.random.Generator, row: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One prior draw and its checked simulation, both on `rng`: (theta, stats)."""
+    theta = simulator.draw_prior(rng)
+    return theta, simulate_checked(simulator, theta, rng, row)
+
+
 @dataclass(frozen=True)
 class GofSettings:
     acceptance_rate: float
@@ -138,12 +145,6 @@ class GofResult:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(int(seed))
 
 
 def p_value(observed: float, nulls) -> float:
@@ -197,8 +198,7 @@ def _pseudo_observed_rows(n: int, M: int, seed) -> np.ndarray:
         raise DataError("more replicates than simulations")
     if M == n:
         return np.arange(n)
-    rng = np.random.default_rng(_seed_sequence(seed))
-    return rng.choice(n, size=M, replace=False)
+    return np.random.default_rng(seed).choice(n, size=M, replace=False)
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +297,18 @@ def null_distribution_post(
 
     Two-pass: all M x n' replicates are simulated first, their pooled matrix
     defines one MAD scaling, and every null value is then computed under
-    that common scaling. Replicate j derives its random stream from
-    (master seed, j), so any worker count gives identical output.
+    that common scaling.
     """
-    rows_seed, replicate_root = _seed_sequence(seed).spawn(2)
+    rows_seed, replicates_seed = children(seed, 2)
     rows = _pseudo_observed_rows(table.n, M, rows_seed)
-    streams = replicate_root.spawn(M)
 
-    def one(job):
-        row, stream = job
-        rng = np.random.default_rng(stream)
+    def one(j, rng):
+        row = int(rows[j])
         return posterior_replicates(
-            table, table.stats[row], scaling, rate, simulator, n_prime, rng, exclude=int(row)
+            table, table.stats[row], scaling, rate, simulator, n_prime, rng, exclude=row
         )
 
-    pooled = np.vstack(parallel_map(one, list(zip(rows, streams)), threads=threads))
+    pooled = np.vstack(seeded_map(one, replicates_seed, M, threads))
     pooled_scaling = replicate_scaling(pooled, scaling)
     values = np.array(
         [
@@ -331,10 +328,11 @@ def gfit(
     observed: ObservedStats,
     rate: float,
     M: int,
-    seed,
+    seed: int,
     threads: int = 1,
 ) -> GofResult:
     """Goodness-of-fit test of the table's model using the prior statistic."""
+    settings = GofSettings(acceptance_rate=rate, M=M, n_prime=None, seed=int(seed))
     scaling = fit_scaling(table)
     observed_value = d_prior(table, observed, scaling, rate)
     nulls = null_distribution_prior(table, scaling, rate, M, seed, threads=threads)
@@ -343,7 +341,7 @@ def gfit(
         observed_value=observed_value,
         null_values=nulls,
         p_value=p_value(observed_value, nulls),
-        settings=GofSettings(acceptance_rate=rate, M=M, n_prime=None, seed=int(seed)),
+        settings=settings,
     )
 
 
@@ -354,7 +352,7 @@ def gfit_post(
     simulator: Simulator,
     n_prime: int,
     M: int,
-    seed,
+    seed: int,
     threads: int = 1,
 ) -> GofResult:
     """Goodness-of-fit test using the posterior-replicate statistic.
@@ -364,8 +362,9 @@ def gfit_post(
     observed run's own n' replicates, mirroring how each null replicate's
     own simulations participate in the pool.
     """
+    settings = GofSettings(acceptance_rate=rate, M=M, n_prime=n_prime, seed=int(seed))
     scaling = fit_scaling(table)
-    observed_seed, null_seed = _seed_sequence(seed).spawn(2)
+    observed_seed, null_seed = children(seed, 2)
     null = null_distribution_post(
         table, scaling, rate, simulator, n_prime, M, null_seed, threads=threads
     )
@@ -378,7 +377,7 @@ def gfit_post(
         observed_value=observed_value,
         null_values=null.values,
         p_value=p_value(observed_value, null.values),
-        settings=GofSettings(acceptance_rate=rate, M=M, n_prime=n_prime, seed=int(seed)),
+        settings=settings,
     )
 
 

@@ -5,10 +5,8 @@ shared across all `n_datasets` evaluations, as is the null distribution of
 the test statistic: the null distribution depends only on the table, so
 computing it once is identical to recomputing it per dataset with the same
 stream. Each dataset then costs one observed-statistic evaluation (plus n'
-posterior replicates for the posterior statistic).
-
-Seed layout from the master seed: (table, null distribution, dataset 0..N-1),
-making results independent of worker count and execution order.
+posterior replicates for the posterior statistic). The master seed's
+streams are laid out in :mod:`abcgof.parallel`.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .core import fit_scaling
 from .gof import (
@@ -27,10 +24,10 @@ from .gof import (
     null_distribution_post,
     null_distribution_prior,
     p_value,
-    simulate_checked,
+    prior_predictive,
 )
 from .models import build_reference_table, get_simulator
-from .parallel import parallel_map
+from .parallel import children, seeded_map
 
 STATISTIC_KINDS = ("prior", "post")
 
@@ -107,10 +104,7 @@ def _echo(config: PowerStudyConfig, null_sim: Simulator, alt_sim: Simulator) -> 
 
 
 def _run_study(config: PowerStudyConfig, null_sim: Simulator, alt_sim: Simulator):
-    root = np.random.SeedSequence(config.master_seed)
-    table_seed, null_seed, data_root = root.spawn(3)
-    dataset_streams = data_root.spawn(config.n_datasets)
-
+    table_seed, null_seed, data_seed = children(config.master_seed, 3)
     table = build_reference_table(null_sim, config.n_sims, table_seed, threads=config.threads)
     scaling = fit_scaling(table)
     rate = config.acceptance_rate
@@ -135,15 +129,16 @@ def _run_study(config: PowerStudyConfig, null_sim: Simulator, alt_sim: Simulator
                 table, observed, scaling, rate, null_sim, config.n_prime, rng, null.pooled
             )[0]
 
-    def one(stream):
-        rng = np.random.default_rng(stream)
-        observed = simulate_checked(alt_sim, alt_sim.draw_prior(rng), rng)
+    def one(i, rng):
+        _, observed = prior_predictive(alt_sim, rng)
         return p_value(statistic(observed, rng), nulls)
 
-    return np.array(parallel_map(one, dataset_streams, threads=config.threads))
+    return np.array(seeded_map(one, data_seed, config.n_datasets, config.threads))
 
 
 def _finish(config: PowerStudyConfig, p_values: np.ndarray, echo: dict) -> PowerStudyResult:
+    from scipy import stats as sps  # deferred: importing scipy.stats takes ~1 s
+
     rejection_rate = float(np.count_nonzero(p_values < config.alpha) / p_values.size)
     ks = sps.kstest(p_values, "uniform")
     return PowerStudyResult(
@@ -196,6 +191,8 @@ def emit_pvalue_histogram(result: PowerStudyResult, bins: int) -> str:
 
 def one_sided_two_proportion_p(k1: int, n1: int, k2: int, n2: int) -> float:
     """P-value for H1: proportion 1 > proportion 2 (pooled z test)."""
+    from scipy import stats as sps
+
     p1, p2 = k1 / n1, k2 / n2
     pooled = (k1 + k2) / (n1 + n2)
     se = np.sqrt(pooled * (1 - pooled) * (1 / n1 + 1 / n2))

@@ -8,12 +8,10 @@ set (50 loci) or the site-frequency-spectrum set (100 loci).
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import coalescent, toy
 from .core import ReferenceTable
-from .gof import Simulator, simulate_checked
-from .parallel import parallel_map
+from .gof import Simulator, prior_predictive
+from .parallel import seeded_map
 
 TOY_MODELS = ("toy-gaussian", "toy-laplace")
 STAT_SETS = ("pi-tajima", "sfs")
@@ -114,35 +112,15 @@ def build_reference_table(
 ) -> ReferenceTable:
     """Simulate a reference table: n prior draws and their statistics.
 
-    Each row derives its random stream from (seed, row index), so the table
-    is identical for any worker count. A failing simulator call raises
+    Row i is the prior-predictive draw on stream i of the seed (see
+    :mod:`abcgof.parallel`). A failing simulator call raises
     :class:`~abcgof.gof.SimulationError` naming the row and its parameters.
     """
     if n_sims < 2:
         raise ValueError("a reference table needs at least 2 rows")
-    if isinstance(seed, np.random.SeedSequence):
-        root = seed
-    else:
-        root = np.random.SeedSequence(int(seed))
-    streams = root.spawn(n_sims)
-    params = np.empty((n_sims, len(simulator.param_names)))
-    stats = np.empty((n_sims, len(simulator.stat_names)))
-
-    chunk = 256
-    blocks = [range(lo, min(lo + chunk, n_sims)) for lo in range(0, n_sims, chunk)]
-
-    def run_block(rows):
-        out = []
-        for i in rows:
-            rng = np.random.default_rng(streams[i])
-            theta = simulator.draw_prior(rng)
-            out.append((i, theta, simulate_checked(simulator, theta, rng, row=i)))
-        return out
-
-    for block in parallel_map(run_block, blocks, threads=threads):
-        for i, theta, stat in block:
-            params[i] = theta
-            stats[i] = stat
+    params, stats = zip(*seeded_map(
+        lambda i, rng: prior_predictive(simulator, rng, row=i), seed, n_sims, threads
+    ))
     return ReferenceTable(
         param_names=simulator.param_names,
         stat_names=simulator.stat_names,

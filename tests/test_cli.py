@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -130,6 +131,26 @@ def test_out_dir_writes_manifest_and_rerun_reproduces(capsys, tmp_path, table_an
     assert (out_dir / "gfit.json").read_bytes() == first
 
 
+def test_rerun_refuses_a_changed_input_and_writes_nothing(capsys, tmp_path, table_and_observed):
+    table, observed = table_and_observed
+    out_dir = tmp_path / "run1"
+    code, _, _ = run_cli(
+        capsys, "gfit", "--table", table, "--observed", observed,
+        "--M", "60", "--seed", "12", "--out", out_dir,
+    )
+    assert code == 0
+    recorded = json.loads((out_dir / "manifest.json").read_text())["inputs"][str(table)]
+    before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+    sim = abcgof.get_simulator("toy-gaussian")
+    abcgof.save_reference_table(abcgof.build_reference_table(sim, 400, 18), table)
+    current = hashlib.sha256(table.read_bytes()).hexdigest()
+    code, out, err = run_cli(capsys, "rerun", out_dir / "manifest.json")
+    assert code == 2 and out == ""
+    assert "E_DATA" in err and str(table) in err and recorded in err and current in err
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+
+
 def test_rerun_rejects_non_manifest(capsys, tmp_path):
     path = tmp_path / "x.json"
     path.write_text("{}")
@@ -218,6 +239,16 @@ def test_entry_point_subprocess_roundtrip(tmp_path):
     )
     assert result.returncode == 0
     assert "simulate" in result.stdout and "gfitpca" in result.stdout
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import and only studies use it
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, abcgof.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0 and result.stdout.strip() == "False"
 
 
 def test_version_flag(capsys):

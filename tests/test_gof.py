@@ -19,8 +19,10 @@ from abcgof import (
     posterior_replicates,
     replicate_scaling,
 )
+from abcgof import gof
 from abcgof.core import ScalingVector, scaled_distances
 from abcgof.gof import d_post, d_prior, observed_d_post
+from abcgof.parallel import children
 
 from conftest import make_observed, make_table
 
@@ -434,3 +436,51 @@ def test_gfit_post_deterministic_and_thread_invariant():
     b = gfit_post(table, obs, 0.5, sim, 4, 6, seed=1)
     c = gfit_post(table, obs, 0.5, sim, 4, 6, seed=1, threads=5)
     assert a.to_json() == b.to_json() == c.to_json()
+
+
+# --- seed layout ----------------------------------------------------------------------
+
+
+def test_children_match_a_fresh_spawn_and_leave_the_seed_untouched():
+    def states(streams):
+        return [stream.generate_state(4).tolist() for stream in streams]
+
+    seed = np.random.SeedSequence(7)
+    assert states(children(seed, 3)) == states(np.random.SeedSequence(7).spawn(3))
+    assert states(children(7, 3)) == states(np.random.SeedSequence(7).spawn(3))
+    assert seed.n_children_spawned == 0
+    child = np.random.SeedSequence(7).spawn(2)[1]
+    fresh = states(children(child, 2))
+    assert fresh == states(child.spawn(2))
+    assert states(children(child, 2)) == fresh  # a spawned seed still gives its first children
+
+
+def test_one_seed_sequence_gives_one_table_and_one_post_null():
+    seed = np.random.SeedSequence(4)
+    a = build_reference_table(NoisySimulator(), 12, seed)
+    b = build_reference_table(NoisySimulator(), 12, seed)
+    assert np.array_equal(a.params, b.params) and np.array_equal(a.stats, b.stats)
+
+    table = echo_table(16)
+    scaling = fit_scaling(table)
+    first = null_distribution_post(table, scaling, 0.5, NoisySimulator(), 4, 6, seed)
+    second = null_distribution_post(table, scaling, 0.5, NoisySimulator(), 4, 6, seed)
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.pooled, second.pooled)
+
+
+@pytest.mark.parametrize("kind", ["prior", "post"])
+def test_a_non_int_seed_fails_before_the_null_is_computed(monkeypatch, kind):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the null distribution ran before the seed was checked")
+
+    monkeypatch.setattr(gof, "null_distribution_prior", unreachable)
+    monkeypatch.setattr(gof, "null_distribution_post", unreachable)
+    table = echo_table(16)
+    obs = make_observed(table, [5.0])
+    seed = np.random.SeedSequence(1)
+    with pytest.raises(TypeError):
+        if kind == "prior":
+            gfit(table, obs, 0.5, 6, seed)
+        else:
+            gfit_post(table, obs, 0.5, NoisySimulator(), 4, 6, seed)
