@@ -59,6 +59,14 @@ class Simulator(abc.ABC):
     def simulate(self, theta, rng: np.random.Generator) -> np.ndarray:
         """Simulate one summary-statistic vector for the given parameters."""
 
+    def simulate_rows(self, thetas, rngs) -> np.ndarray:
+        """One :meth:`simulate` row per (theta, rng) pair.
+
+        Overrides must return exactly these rows and leave every generator
+        where :meth:`simulate` would; they may run the rows together.
+        """
+        return np.array([self.simulate(theta, rng) for theta, rng in zip(thetas, rngs)])
+
     def config(self) -> dict:
         """A JSON-serializable description used in manifests and result echoes."""
         return {"name": self.name}
@@ -83,6 +91,10 @@ def simulate_checked(
         stats = np.asarray(simulator.simulate(theta, rng), dtype=float)
     except Exception as exc:  # noqa: BLE001 - report the offending draw
         raise SimulationError(theta, exc, row) from exc
+    return _finite(stats, theta, row)
+
+
+def _finite(stats: np.ndarray, theta, row: int | None) -> np.ndarray:
     if not np.isfinite(stats).all():
         raise SimulationError(theta, ValueError("non-finite simulated statistics"), row)
     return stats
@@ -94,6 +106,30 @@ def prior_predictive(
     """One prior draw and its checked simulation, both on `rng`: (theta, stats)."""
     theta = simulator.draw_prior(rng)
     return theta, simulate_checked(simulator, theta, rng, row)
+
+
+def prior_predictive_rows(
+    simulator: Simulator, rows: range, streams
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`prior_predictive` for each row, on a generator of its own stream.
+
+    All prior draws come first, then one :meth:`Simulator.simulate_rows`
+    call. If that raises, the rows are rerun one by one on fresh generators,
+    so the error names the first failing row; a failure that no single row
+    reproduces is raised as it came.
+    """
+    rngs = [np.random.default_rng(stream) for stream in streams]
+    thetas = [simulator.draw_prior(rng) for rng in rngs]
+    try:
+        stats = np.asarray(simulator.simulate_rows(thetas, rngs), dtype=float)
+    except Exception:
+        for row, stream in zip(rows, streams):
+            prior_predictive(simulator, np.random.default_rng(stream), row)
+        raise
+    return [
+        (theta, _finite(row_stats, theta, row))
+        for theta, row_stats, row in zip(thetas, stats, rows, strict=True)
+    ]
 
 
 @dataclass(frozen=True)
