@@ -323,9 +323,7 @@ def _cmd_rerun(args, run: _Run) -> int:
     for path, recorded in inputs.items():
         current = _sha256(Path(path))
         if current != recorded:
-            raise DataError(
-                f"input {path} changed since the run: sha256 {current}, manifest has {recorded}"
-            )
+            raise DataError(f"input {path} changed: sha256 {current}, manifest has {recorded}")
     return main([str(a) for a in argv])
 
 

@@ -17,7 +17,6 @@ pooled unfolded site-frequency spectrum with the total mutation count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -165,50 +164,39 @@ def simulate_genealogy(
     n = int(n_chromosomes)
     if n < 2:
         raise ValueError("need at least 2 chromosomes")
-    parent, node_time, leaf_counts = _coalesce(demography.epochs, n, rng)
-    return Genealogy(
-        parent=np.array(parent, dtype=np.int64),
-        node_time=np.array(node_time),
-        leaf_counts=np.array(leaf_counts, dtype=np.int64),
-        n_leaves=n,
-    )
+    starts = demography.start_times
+    sizes = demography.relative_sizes
+    n_epochs = len(starts)
 
-
-def _coalesce(epochs: tuple, n: int, rng: np.random.Generator) -> tuple[list, list, list]:
-    """:func:`simulate_genealogy`'s (parent, node_time, leaf_counts), as lists.
-
-    This loop runs once per coalescence of every simulated locus, so it
-    works on Python floats and lists; their arithmetic is the same IEEE
-    double arithmetic as on NumPy scalars.
-    """
     total = 2 * n - 1
-    parent = [-1] * total
-    node_time = [0.0] * total
-    leaf_counts = [1] * total
-    # epoch k ends where epoch k+1 starts; the last one never ends
-    ends = [t for t, _ in epochs[1:]] + [math.inf]
+    parent = np.full(total, -1, dtype=np.int64)
+    node_time = np.zeros(total)
+    leaf_counts = np.ones(total, dtype=np.int64)
 
-    exps = rng.standard_exponential(n - 1).tolist()
-    uniforms = rng.random(2 * (n - 1)).tolist()
+    exps = rng.standard_exponential(n - 1)
+    uniforms = rng.random(2 * (n - 1))
 
     active = list(range(n))
     epoch = 0
-    epoch_base, sigma = epochs[0]  # where the current epoch's accumulation began
+    epoch_base = 0.0  # absolute time where the current epoch's accumulation began
     acc = 0.0  # accumulated size-1 time within the current epoch
+    time_now = 0.0
     for step in range(n - 1):
-        j = n - step
+        j = len(active)
         pairs = j * (j - 1) / 2.0
         e = exps[step]
         while True:
+            sigma = sizes[epoch]
             acc_next = acc + e / pairs
-            if epoch_base + acc_next * sigma <= ends[epoch]:
+            if epoch == n_epochs - 1 or epoch_base + acc_next * sigma <= starts[epoch + 1]:
                 acc = acc_next
+                time_now = epoch_base + acc * sigma
                 break
-            span = (ends[epoch] - epoch_base) / sigma - acc
+            span = (starts[epoch + 1] - epoch_base) / sigma - acc
             if span > 0:
                 e = max(e - span * pairs, 0.0)
             epoch += 1
-            epoch_base, sigma = epochs[epoch]
+            epoch_base = starts[epoch]
             acc = 0.0
 
         a = int(uniforms[2 * step] * j)
@@ -218,14 +206,15 @@ def _coalesce(epochs: tuple, n: int, rng: np.random.Generator) -> tuple[list, li
         if a > b:
             a, b = b, a
         node = n + step
-        right = active.pop(b)
-        left = active.pop(a)
+        left, right = active[a], active[b]
         parent[left] = node
         parent[right] = node
-        node_time[node] = epoch_base + acc * sigma
+        node_time[node] = time_now
         leaf_counts[node] = leaf_counts[left] + leaf_counts[right]
+        active.pop(b)
+        active.pop(a)
         active.append(node)
-    return parent, node_time, leaf_counts
+    return Genealogy(parent=parent, node_time=node_time, leaf_counts=leaf_counts, n_leaves=n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,12 +232,11 @@ def drop_mutations(
     """Drop infinite-sites mutations at rate theta/2 per unit branch length."""
     if theta < 0:
         raise ValueError("theta must be nonnegative")
-    root = genealogy.root
-    counts = rng.poisson(0.5 * theta * genealogy.branch_lengths())
-    carriers = genealogy.leaf_counts[:root].repeat(counts)
-    return MutationDrop(
-        branch_nodes=np.arange(root), branch_mutations=counts, carrier_counts=carriers
-    )
+    lengths = genealogy.branch_lengths()
+    counts = rng.poisson(0.5 * theta * lengths)
+    nodes = np.arange(genealogy.root, dtype=int)
+    carriers = np.repeat(genealogy.leaf_counts[nodes], counts)
+    return MutationDrop(branch_nodes=nodes, branch_mutations=counts, carrier_counts=carriers)
 
 
 def pairwise_diversity(carrier_counts, n_chromosomes: int) -> float:
@@ -278,40 +266,28 @@ def tajima_constants(n: int) -> tuple:
     return a1, e1, e2
 
 
-def tajimas_d(n_chromosomes: int, n_segregating, pi):
-    """Tajima's D; a monomorphic locus (no segregating sites) contributes 0.
-
-    Takes one locus's counts, or arrays with one entry per locus.
-    """
+def tajimas_d(n_chromosomes: int, n_segregating: int, pi: float) -> float:
+    """Tajima's D; a monomorphic locus (no segregating sites) contributes 0."""
     if n_chromosomes < 2:
         raise ValueError("need at least 2 chromosomes")
+    s = n_segregating
+    if s == 0:
+        return 0.0
     a1, e1, e2 = tajima_constants(n_chromosomes)
-    s = np.asarray(n_segregating, dtype=float)
-    polymorphic = s > 0
-    s = np.where(polymorphic, s, 1.0)  # keeps the monomorphic entries finite
-    d = np.where(polymorphic, (pi - s / a1) / np.sqrt(e1 * s + e2 * s * (s - 1.0)), 0.0)
-    return float(d) if d.ndim == 0 else d
+    return float((pi - s / a1) / np.sqrt(e1 * s + e2 * s * (s - 1.0)))
 
 
 def stats_pi_tajima(loci_carrier_counts, config: LocusConfig) -> np.ndarray:
-    """(mean diversity, mean Tajima's D, variance of Tajima's D) across loci.
-
-    Per locus this is :func:`pairwise_diversity` and :func:`tajimas_d`,
-    evaluated for all loci at once.
-    """
-    n_loci = len(loci_carrier_counts)
-    if n_loci < 2:
+    """(mean diversity, mean Tajima's D, variance of Tajima's D) across loci."""
+    if len(loci_carrier_counts) < 2:
         raise ValueError("need at least 2 loci for the across-locus variance")
     n = config.n_chromosomes
-    loci = [np.asarray(c, dtype=float) for c in loci_carrier_counts]
-    sites = np.array([c.size for c in loci])
-    carriers = np.concatenate(loci)
-    # integer-valued terms, so each locus's sum is exact in any order
-    pair_diffs = np.bincount(
-        np.repeat(np.arange(n_loci), sites), weights=carriers * (n - carriers), minlength=n_loci
-    )
-    pis = pair_diffs / (n * (n - 1) / 2.0)
-    ds = tajimas_d(n, sites, pis)
+    pis = np.empty(len(loci_carrier_counts))
+    ds = np.empty(len(loci_carrier_counts))
+    for i, carriers in enumerate(loci_carrier_counts):
+        carriers = np.asarray(carriers)
+        pis[i] = pairwise_diversity(carriers, n)
+        ds[i] = tajimas_d(n, carriers.size, pis[i])
     return np.array([pis.mean(), ds.mean(), ds.var(ddof=1)])
 
 
@@ -336,137 +312,6 @@ def simulate_locus_set(
         genealogy = simulate_genealogy(demography, config.n_chromosomes, rng)
         loci.append(drop_mutations(genealogy, config.theta, rng).carrier_counts)
     return loci
-
-
-def simulate_locus_sets(demographies, configs, rngs) -> list:
-    """:func:`simulate_locus_set` for many rows at once, row r on ``rngs[r]``.
-
-    Row r's loci equal ``simulate_locus_set(demographies[r], configs[r],
-    rngs[r])`` exactly: each generator makes the same calls in the same
-    order, and the coalescence loop runs elementwise across rows, so the
-    interpreter steps once per coalescence for all rows instead of once per
-    row. All rows must share the chromosome and locus counts.
-    """
-    n_rows = len(rngs)
-    if not len(demographies) == len(configs) == n_rows:
-        raise ValueError("need one demography, locus config and generator per row")
-    if n_rows == 0:
-        return []
-    n, n_loci = configs[0].n_chromosomes, configs[0].n_loci
-    if any(c.n_chromosomes != n or c.n_loci != n_loci for c in configs):
-        raise ValueError("all rows must share the chromosome and locus counts")
-    width = max(len(d.epochs) for d in demographies)
-    # start times padded with +inf, so no row ever leaves its last epoch
-    starts = np.full((n_rows, width + 1), np.inf)
-    sizes = np.ones((n_rows, width))
-    for r, demography in enumerate(demographies):
-        starts[r, : len(demography.epochs)] = demography.start_times
-        sizes[r, : len(demography.epochs)] = demography.relative_sizes
-    rates = 0.5 * np.array([c.theta for c in configs])
-
-    exps = np.empty((n_rows, n - 1))
-    uniforms = np.empty((n_rows, 2 * (n - 1)))
-    loci = [[] for _ in range(n_rows)]
-    for _ in range(n_loci):
-        for rng, row_exps, row_uniforms in zip(rngs, exps, uniforms):
-            rng.standard_exponential(out=row_exps)
-            rng.random(out=row_uniforms)
-        leaf_counts, lengths = _coalesce_rows(starts, sizes, exps, uniforms)
-        means = rates[:, None] * lengths
-        for r, rng in enumerate(rngs):
-            loci[r].append(leaf_counts[r].repeat(rng.poisson(means[r])))
-    return loci
-
-
-def _coalesce_rows(starts, sizes, exps, uniforms) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_coalesce` elementwise across rows: (leaf counts, branch lengths).
-
-    Both results have one row per genealogy and one column per non-root
-    node. Row r's epochs start at ``starts[r]``, padded with +inf after its
-    last epoch, with relative sizes ``sizes[r]``.
-    """
-    n_rows, n_steps = exps.shape
-    n = n_steps + 1
-    width = 2 * n - 1
-    lineages = np.arange(n, 1, -1)
-    pairs = lineages * (lineages - 1) / 2.0
-    node_time = np.zeros((n_rows, width))
-    node_time[:, n:] = _coalescence_times(starts, sizes, exps, pairs)
-
-    # the two of the j active lineages that merge at each step, low < high
-    a = (uniforms[:, 0::2] * lineages).astype(np.int64)
-    b = (uniforms[:, 1::2] * (lineages - 1)).astype(np.int64)
-    b += b >= a
-    low, high = np.minimum(a, b).T, np.maximum(a, b).T
-
-    # Flat (rows x width) arrays; row r starts at offset[r]. As in
-    # _coalesce, the active lineages stay in ascending order: here they fill
-    # the first j entries of the row's slot in `active`.
-    offset = np.arange(n_rows) * width
-    parent = np.empty(n_rows * width, dtype=np.int64)
-    leaf_counts = np.ones(n_rows * width, dtype=np.int64)
-    active = np.tile(np.arange(width), n_rows)
-    slots = active.reshape(n_rows, width)
-    columns = np.arange(n)
-    for step in range(n_steps):
-        j = n - step
-        node = n + step
-        left = active[offset + low[step]] + offset
-        right = active[offset + high[step]] + offset
-        parent[left] = node
-        parent[right] = node
-        leaf_counts[offset + node] = leaf_counts[left] + leaf_counts[right]
-        # drop positions low and high, keep the order, append the new node
-        kept = columns[: j - 2]
-        source = kept + (kept >= low[step][:, None]) + (kept >= high[step][:, None] - 1)
-        slots[:, : j - 2] = active[source + offset[:, None]]
-        slots[:, j - 2] = node
-    root = 2 * n - 2
-    parent = parent.reshape(n_rows, width)[:, :root]
-    lengths = np.take_along_axis(node_time, parent, axis=1) - node_time[:, :root]
-    return leaf_counts.reshape(n_rows, width)[:, :root], lengths
-
-
-def _coalescence_times(starts, sizes, exps, pairs) -> np.ndarray:
-    """Coalescence times (rows x steps), exactly as :func:`_coalesce` computes them.
-
-    Within an epoch the accumulated size-1 time is a running sum, so each
-    epoch is one cumulative sum per row. A row leaves the epoch at its
-    first step that ends past the epoch's end; what is left of that step's
-    exponential carries into the next epoch.
-    """
-    n_rows, n_steps = exps.shape
-    steps = np.arange(n_steps)
-    rows = np.arange(n_rows)
-    times = np.empty((n_rows, n_steps))
-    begin = np.zeros(n_rows, dtype=np.int64)  # step entering the epoch; n_steps: no more
-    carried = exps[:, 0].copy()  # that step's exponential, less what earlier epochs used
-    quotients = exps / pairs
-    for epoch in range(sizes.shape[1]):
-        base, sigma, end = starts[:, epoch], sizes[:, epoch], starts[:, epoch + 1]
-        first = np.minimum(begin, n_steps - 1)
-        increments = np.where(steps > begin[:, None], quotients, 0.0)
-        increments[rows, first] = np.where(begin < n_steps, carried / pairs[first], 0.0)
-        acc = np.cumsum(increments, axis=1)  # leading zeros add exactly nothing
-        t = base[:, None] + acc * sigma[:, None]
-        inside = steps >= begin[:, None]
-        past_end = (t > end[:, None]) & inside
-        leaves = past_end.any(axis=1)
-        leave_step = np.where(leaves, past_end.argmax(axis=1), n_steps)
-        settled = inside & (steps < leave_step[:, None])
-        times[settled] = t[settled]
-        if not leaves.any():
-            break
-        k = np.flatnonzero(leaves)
-        s = leave_step[k]
-        entered_here = s == begin[k]
-        acc_before = np.where(entered_here, 0.0, acc[k, np.maximum(s - 1, 0)])
-        e = np.where(entered_here, carried[k], exps[k, s])
-        span = (end[k] - base[k]) / sigma[k] - acc_before
-        carried[k] = np.where(span > 0, np.maximum(e - span * pairs[s], 0.0), e)
-        begin[:] = n_steps
-        begin[k] = s
-    return times
 
 
 def draw_prior(label: str, rng: np.random.Generator) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import abc
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,14 +60,6 @@ class Simulator(abc.ABC):
     def simulate(self, theta, rng: np.random.Generator) -> np.ndarray:
         """Simulate one summary-statistic vector for the given parameters."""
 
-    def simulate_rows(self, thetas, rngs) -> np.ndarray:
-        """One :meth:`simulate` row per (theta, rng) pair.
-
-        Overrides must return exactly these rows and leave every generator
-        where :meth:`simulate` would; they may run the rows together.
-        """
-        return np.array([self.simulate(theta, rng) for theta, rng in zip(thetas, rngs)])
-
     def config(self) -> dict:
         """A JSON-serializable description used in manifests and result echoes."""
         return {"name": self.name}
@@ -91,10 +84,6 @@ def simulate_checked(
         stats = np.asarray(simulator.simulate(theta, rng), dtype=float)
     except Exception as exc:  # noqa: BLE001 - report the offending draw
         raise SimulationError(theta, exc, row) from exc
-    return _finite(stats, theta, row)
-
-
-def _finite(stats: np.ndarray, theta, row: int | None) -> np.ndarray:
     if not np.isfinite(stats).all():
         raise SimulationError(theta, ValueError("non-finite simulated statistics"), row)
     return stats
@@ -106,30 +95,6 @@ def prior_predictive(
     """One prior draw and its checked simulation, both on `rng`: (theta, stats)."""
     theta = simulator.draw_prior(rng)
     return theta, simulate_checked(simulator, theta, rng, row)
-
-
-def prior_predictive_rows(
-    simulator: Simulator, rows: range, streams
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`prior_predictive` for each row, on a generator of its own stream.
-
-    All prior draws come first, then one :meth:`Simulator.simulate_rows`
-    call. If that raises, the rows are rerun one by one on fresh generators,
-    so the error names the first failing row; a failure that no single row
-    reproduces is raised as it came.
-    """
-    rngs = [np.random.default_rng(stream) for stream in streams]
-    thetas = [simulator.draw_prior(rng) for rng in rngs]
-    try:
-        stats = np.asarray(simulator.simulate_rows(thetas, rngs), dtype=float)
-    except Exception:
-        for row, stream in zip(rows, streams):
-            prior_predictive(simulator, np.random.default_rng(stream), row)
-        raise
-    return [
-        (theta, _finite(row_stats, theta, row))
-        for theta, row_stats, row in zip(thetas, stats, rows, strict=True)
-    ]
 
 
 @dataclass(frozen=True)
@@ -333,7 +298,7 @@ def null_distribution_post(
 
     Two-pass: all M x n' replicates are simulated first, their pooled matrix
     defines one MAD scaling, and every null value is then computed under
-    that common scaling.
+    that common scaling. Its seed must be its own (:mod:`abcgof.parallel`).
     """
     rows_seed, replicates_seed = children(seed, 2)
     rows = _pseudo_observed_rows(table.n, M, rows_seed)
@@ -368,10 +333,10 @@ def gfit(
     threads: int = 1,
 ) -> GofResult:
     """Goodness-of-fit test of the table's model using the prior statistic."""
-    settings = GofSettings(acceptance_rate=rate, M=M, n_prime=None, seed=int(seed))
+    settings = GofSettings(acceptance_rate=rate, M=M, n_prime=None, seed=operator.index(seed))
     scaling = fit_scaling(table)
     observed_value = d_prior(table, observed, scaling, rate)
-    nulls = null_distribution_prior(table, scaling, rate, M, seed, threads=threads)
+    nulls = null_distribution_prior(table, scaling, rate, M, settings.seed, threads=threads)
     return GofResult(
         statistic_kind="prior",
         observed_value=observed_value,
@@ -398,9 +363,9 @@ def gfit_post(
     observed run's own n' replicates, mirroring how each null replicate's
     own simulations participate in the pool.
     """
-    settings = GofSettings(acceptance_rate=rate, M=M, n_prime=n_prime, seed=int(seed))
+    settings = GofSettings(acceptance_rate=rate, M=M, n_prime=n_prime, seed=operator.index(seed))
     scaling = fit_scaling(table)
-    observed_seed, null_seed = children(seed, 2)
+    observed_seed, null_seed = children(settings.seed, 2)
     null = null_distribution_post(
         table, scaling, rate, simulator, n_prime, M, null_seed, threads=threads
     )

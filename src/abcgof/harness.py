@@ -130,8 +130,7 @@ def _run_study(config: PowerStudyConfig, null_sim: Simulator, alt_sim: Simulator
             )[0]
 
     def one(i, rng):
-        _, observed = prior_predictive(alt_sim, rng)
-        return p_value(statistic(observed, rng), nulls)
+        return p_value(statistic(prior_predictive(alt_sim, rng)[1], rng), nulls)
 
     return np.array(seeded_map(one, data_seed, config.n_datasets, config.threads))
 

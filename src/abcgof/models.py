@@ -8,21 +8,15 @@ set (50 loci) or the site-frequency-spectrum set (100 loci).
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import coalescent, toy
 from .core import ReferenceTable
-from .gof import Simulator, prior_predictive_rows
-from .parallel import seeded_blocks
+from .gof import Simulator, prior_predictive
+from .parallel import seeded_map
 
 TOY_MODELS = ("toy-gaussian", "toy-laplace")
 STAT_SETS = ("pi-tajima", "sfs")
 
 PI_TAJIMA_STAT_NAMES = ("pi_mean", "tajimas_d_mean", "tajimas_d_var")
-
-# Rows simulated together by Simulator.simulate_rows in a table build; any
-# value gives the same table.
-TABLE_BLOCK_ROWS = 256
 
 
 class ToySimulator(Simulator):
@@ -84,24 +78,11 @@ class CoalescentSimulator(Simulator):
         return coalescent.draw_prior(self.label, rng)
 
     def simulate(self, theta, rng):
-        demography, config = self._locus_setup(theta)
-        return self._stats(coalescent.simulate_locus_set(demography, config, rng), config)
-
-    def simulate_rows(self, thetas, rngs):
-        setups = [self._locus_setup(theta) for theta in thetas]
-        loci = coalescent.simulate_locus_sets(
-            [demography for demography, _ in setups], [config for _, config in setups], rngs
-        )
-        return np.array([self._stats(row, config) for row, (_, config) in zip(loci, setups)])
-
-    def _locus_setup(self, theta):
         demography, locus_theta = coalescent.demography_from_params(self.label, theta)
         config = coalescent.LocusConfig(
             n_chromosomes=self.n_chromosomes, n_loci=self.n_loci, theta=locus_theta
         )
-        return demography, config
-
-    def _stats(self, loci, config):
+        loci = coalescent.simulate_locus_set(demography, config, rng)
         if self.stat_set == "pi-tajima":
             return coalescent.stats_pi_tajima(loci, config)
         return coalescent.stats_sfs(loci, config)
@@ -131,21 +112,15 @@ def build_reference_table(
 ) -> ReferenceTable:
     """Simulate a reference table: n prior draws and their statistics.
 
-    Row i is the prior-predictive draw on stream i of the seed (see
+    Row i is the prior-predictive draw on stream i of its own seed (see
     :mod:`abcgof.parallel`). A failing simulator call raises
     :class:`~abcgof.gof.SimulationError` naming the row and its parameters.
     """
     if n_sims < 2:
         raise ValueError("a reference table needs at least 2 rows")
-    params, stats = zip(
-        *seeded_blocks(
-            lambda rows, streams: prior_predictive_rows(simulator, rows, streams),
-            seed,
-            n_sims,
-            TABLE_BLOCK_ROWS,
-            threads,
-        )
-    )
+    params, stats = zip(*seeded_map(
+        lambda i, rng: prior_predictive(simulator, rng, row=i), seed, n_sims, threads
+    ))
     return ReferenceTable(
         param_names=simulator.param_names,
         stat_names=simulator.stat_names,

@@ -4,11 +4,11 @@ Every task owns a pre-derived random stream, so results are identical for
 any worker count; parallelism only changes wall time. All streams come from
 one master seed (an int or a ``SeedSequence``) through :func:`children`,
 which never mutates its argument, so the same seed always gives the same
-streams. The layout, child by child:
+streams: two consumers (a table and a null, say) given one seed share
+streams, so give them different children of it. The layout, child by child:
 
 - reference table (:func:`abcgof.models.build_reference_table`): row i
-  draws its parameters and simulates on child i of the seed (rows run in
-  blocks through :func:`seeded_blocks`, which does not change the streams);
+  draws its parameters and simulates on child i of the seed;
 - prior null (:func:`abcgof.gof.null_distribution_prior`; ``gfit``): the
   seed itself chooses the M pseudo-observed rows (no randomness if M = n);
 - posterior null (:func:`abcgof.gof.null_distribution_post`): child 0
@@ -51,16 +51,3 @@ def seeded_map(fn, seed, n: int, threads: int = 1) -> list:
     """``[fn(i, rng_i) for i in range(n)]``, rng_i a generator on child i of `seed`."""
     streams = children(seed, n)
     return parallel_map(lambda i: fn(i, np.random.default_rng(streams[i])), range(n), threads)
-
-
-def seeded_blocks(fn, seed, n: int, size: int, threads: int = 1) -> list:
-    """``fn(rows, streams)`` over consecutive blocks of at most `size` rows, joined.
-
-    ``streams[k]`` is child ``rows[k]`` of `seed`, so when `fn` treats each
-    row on its own stream alone, the result is the same for any block size
-    and thread count.
-    """
-    streams = children(seed, n)
-    blocks = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
-    done = parallel_map(lambda rows: fn(rows, streams[rows.start : rows.stop]), blocks, threads)
-    return [item for block in done for item in block]

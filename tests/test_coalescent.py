@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from abcgof import coalescent
 from abcgof.coalescent import (
     DemographyModel,
     LocusConfig,
@@ -14,7 +13,6 @@ from abcgof.coalescent import (
     pairwise_diversity,
     simulate_genealogy,
     simulate_locus_set,
-    simulate_locus_sets,
     stats_pi_tajima,
     stats_sfs,
     tajimas_d,
@@ -180,78 +178,6 @@ def test_neutral_sfs_follows_one_over_i():
     assert counts[0] / counts[18] == pytest.approx(19, rel=0.12)
 
 
-# --- many rows at once ---------------------------------------------------------------------
-
-
-def test_locus_sets_equal_one_row_at_a_time():
-    # mixed histories in one call: no crossing, one, two, and a dip so short
-    # and deep that one coalescence can cross both of its boundaries
-    demographies = [
-        DemographyModel.constant(),
-        DemographyModel.bottleneck(0.5, 0.1, 0.02),
-        DemographyModel.expansion(0.1, 0.5),
-        DemographyModel.bottleneck(0.001, 0.05, 0.001),
-        DemographyModel.expansion(0.02, 15.0),
-        DemographyModel.constant(3.0),
-    ]
-    configs = [
-        LocusConfig(n_chromosomes=9, n_loci=30, theta=theta)
-        for theta in (0.0, 2.0, 8.0, 12.0, 5.0, 1.0)
-    ]
-    seeds = range(40, 40 + len(configs))
-    batch_rngs = [np.random.default_rng(s) for s in seeds]
-    batch = simulate_locus_sets(demographies, configs, batch_rngs)
-    for demography, config, seed, loci, rng in zip(
-        demographies, configs, seeds, batch, batch_rngs
-    ):
-        alone = np.random.default_rng(seed)
-        want = simulate_locus_set(demography, config, alone)
-        assert len(loci) == len(want) == config.n_loci
-        for got, expected in zip(loci, want):
-            assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
-        assert rng.random() == alone.random()  # each generator ends in the same state
-
-
-def test_row_genealogies_equal_simulate_genealogy_bit_for_bit():
-    n, rows = 12, 300
-    rng = np.random.default_rng(5)
-    demographies = [
-        DemographyModel.bottleneck(
-            rng.uniform(0.001, 0.9), rng.uniform(0.01, 0.4), rng.uniform(0.001, 0.05)
-        )
-        for _ in range(rows)
-    ]
-    starts = np.full((rows, 4), np.inf)
-    sizes = np.ones((rows, 3))
-    exps = np.empty((rows, n - 1))
-    uniforms = np.empty((rows, 2 * (n - 1)))
-    for r, demography in enumerate(demographies):
-        starts[r, :3] = demography.start_times
-        sizes[r] = demography.relative_sizes
-        draws = np.random.default_rng(r)
-        exps[r] = draws.standard_exponential(n - 1)
-        uniforms[r] = draws.random(2 * (n - 1))
-    leaf_counts, lengths = coalescent._coalesce_rows(starts, sizes, exps, uniforms)
-    for r, demography in enumerate(demographies):
-        genealogy = simulate_genealogy(demography, n, np.random.default_rng(r))
-        assert leaf_counts[r].tolist() == genealogy.leaf_counts[:-1].tolist()
-        assert lengths[r].tolist() == genealogy.branch_lengths().tolist()
-
-
-def test_locus_sets_need_matching_shapes():
-    rng = np.random.default_rng(0)
-    one = LocusConfig(n_chromosomes=5, n_loci=3)
-    assert simulate_locus_sets([], [], []) == []
-    with pytest.raises(ValueError, match="per row"):
-        simulate_locus_sets([DemographyModel.constant()], [one, one], [rng, rng])
-    with pytest.raises(ValueError, match="share"):
-        simulate_locus_sets(
-            [DemographyModel.constant()] * 2,
-            [one, LocusConfig(n_chromosomes=5, n_loci=4)],
-            [rng, rng],
-        )
-
-
 # --- per-locus statistics ----------------------------------------------------------------
 
 
@@ -287,24 +213,6 @@ def test_tajimas_d_matches_oracle_randomized(rng):
         assert tajimas_d(n, s, pi) == pytest.approx(
             tajima_oracle(n, s, pi), rel=1e-10, abs=1e-12
         )
-
-
-def test_tajimas_d_arrays_match_the_scalar_form(rng):
-    sites = rng.integers(0, 30, size=200)
-    sites[:20] = 0
-    pis = rng.uniform(0, 10, size=200)
-    many = tajimas_d(12, sites, pis)
-    assert many.tolist() == [tajimas_d(12, int(s), float(p)) for s, p in zip(sites, pis)]
-
-
-def test_pi_tajima_statistics_are_the_per_locus_helpers(rng):
-    config = LocusConfig(n_chromosomes=11, n_loci=40, theta=4.0)
-    loci = simulate_locus_set(DemographyModel.bottleneck(0.4, 0.05, 0.03), config, rng)
-    loci[3] = np.empty(0, dtype=np.int64)  # one monomorphic locus
-    pis = np.array([pairwise_diversity(c, 11) for c in loci])
-    ds = np.array([tajimas_d(11, c.size, p) for c, p in zip(loci, pis)])
-    want = [pis.mean(), ds.mean(), ds.var(ddof=1)]
-    assert stats_pi_tajima(loci, config).tolist() == want
 
 
 def test_monomorphic_loci_give_all_zero_statistics():

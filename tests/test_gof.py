@@ -22,8 +22,7 @@ from abcgof import (
 from abcgof import gof
 from abcgof.core import ScalingVector, scaled_distances
 from abcgof.gof import d_post, d_prior, observed_d_post
-from abcgof import models
-from abcgof.parallel import children, seeded_blocks, seeded_map
+from abcgof.parallel import children
 
 from conftest import make_observed, make_table
 
@@ -456,56 +455,6 @@ def test_children_match_a_fresh_spawn_and_leave_the_seed_untouched():
     assert states(children(child, 2)) == fresh  # a spawned seed still gives its first children
 
 
-def test_seeded_blocks_match_seeded_map_for_any_block_size_and_thread_count():
-    def draw(i, rng):
-        return (i, rng.random())
-
-    def draw_block(rows, streams):
-        return [draw(i, np.random.default_rng(s)) for i, s in zip(rows, streams)]
-
-    want = seeded_map(draw, 5, 23)
-    for size in (1, 4, 23, 100):
-        for threads in (1, 3):
-            assert seeded_blocks(draw_block, 5, 23, size, threads) == want
-
-
-@pytest.mark.parametrize(
-    "name, options",
-    [
-        ("toy-laplace", {}),
-        ("expansion", {"stat_set": "pi-tajima"}),
-        ("bottleneck", {"stat_set": "sfs"}),
-    ],
-)
-def test_table_rows_are_per_row_prior_predictive_draws(monkeypatch, name, options):
-    monkeypatch.setattr(models, "TABLE_BLOCK_ROWS", 4)  # three blocks, the last one short
-    sim = models.get_simulator(name, **options)
-    table = build_reference_table(sim, 10, 21)
-    for row, stream in enumerate(children(21, 10)):
-        theta, stats = gof.prior_predictive(sim, np.random.default_rng(stream), row)
-        assert table.params[row].tolist() == theta.tolist()
-        assert table.stats[row].tolist() == stats.tolist()
-
-
-class BatchBrokenSimulator(NoisySimulator):
-    """Right one row at a time; its batch path fails or drops a row."""
-
-    def __init__(self, failure):
-        self.failure = failure
-
-    def simulate_rows(self, thetas, rngs):
-        if self.failure == "raise":
-            raise RuntimeError("batch path broken")
-        return super().simulate_rows(thetas, rngs)[1:]
-
-
-@pytest.mark.parametrize("failure, error", [("raise", RuntimeError), ("short", ValueError)])
-def test_a_batch_failure_that_no_row_reproduces_is_raised(failure, error):
-    with pytest.raises(error) as info:
-        build_reference_table(BatchBrokenSimulator(failure), 9, 2)
-    assert not isinstance(info.value, SimulationError)
-
-
 def test_one_seed_sequence_gives_one_table_and_one_post_null():
     seed = np.random.SeedSequence(4)
     a = build_reference_table(NoisySimulator(), 12, seed)
@@ -529,9 +478,9 @@ def test_a_non_int_seed_fails_before_the_null_is_computed(monkeypatch, kind):
     monkeypatch.setattr(gof, "null_distribution_post", unreachable)
     table = echo_table(16)
     obs = make_observed(table, [5.0])
-    seed = np.random.SeedSequence(1)
-    with pytest.raises(TypeError):
-        if kind == "prior":
-            gfit(table, obs, 0.5, 6, seed)
-        else:
-            gfit_post(table, obs, 0.5, NoisySimulator(), 4, 6, seed)
+    for seed in [np.random.SeedSequence(1), 7.0]:
+        with pytest.raises(TypeError):
+            if kind == "prior":
+                gfit(table, obs, 0.5, 6, seed)
+            else:
+                gfit_post(table, obs, 0.5, NoisySimulator(), 4, 6, seed)
