@@ -2,8 +2,9 @@
 
 Results go to stdout as JSON (tables as TSV); with ``--out DIR`` they are
 also written into the directory together with a ``manifest.json`` recording
-the resolved invocation, input digests and tool version. ``abcgof rerun
-manifest.json`` replays a manifest and reproduces the outputs byte for byte.
+the resolved invocation, its working directory, input digests and tool
+version. ``abcgof rerun manifest.json``, run from any directory, replays a
+manifest and reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error. Error
 lines are prefixed ``abcgof: E_USAGE:`` or ``abcgof: E_DATA:``.
@@ -50,11 +51,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser, *, table=False, observed=False, model=False):
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=1,
         help="worker threads; never changes results",
     )
@@ -139,11 +150,25 @@ def _json_text(payload) -> str:
 
 
 class _Run:
-    """Collects output files and the manifest for one invocation."""
+    """Collects output files and the manifest for one invocation.
 
-    def __init__(self, args, argv):
+    The manifest records the paths as typed and the working directory they
+    are relative to, so `rerun` works from any directory.
+    """
+
+    def __init__(self, args, argv, cwd: Path | None = None):
         self.args = args
         self.argv = list(argv)
+        self.cwd = cwd
+        self.flags = {
+            k: (str(v) if isinstance(v, Path) else v)
+            for k, v in sorted(vars(args).items())
+            if k != "subcommand"
+        }
+        self.inputs = [
+            p for p in (getattr(args, "table", None), getattr(args, "observed", None))
+            if p is not None
+        ]
         self.out_dir = getattr(args, "out", None)
         self.files = {}
         self.stdout_text = ""
@@ -159,28 +184,23 @@ class _Run:
             sys.stdout.write(self.stdout_text)
         if self.out_dir is None:
             return 0
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        cwd = Path.cwd() if self.cwd is None else self.cwd
+        out_dir = cwd / self.out_dir
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in self.files.items():
-            (self.out_dir / name).write_text(text, encoding="utf-8")
+            (out_dir / name).write_text(text, encoding="utf-8")
         manifest = {
             "tool": "abcgof",
             "version": __version__,
             "subcommand": self.args.subcommand,
             "argv": self.argv,
+            "cwd": str(cwd),
             "seed": getattr(self.args, "seed", None),
-            "flags": {
-                k: (str(v) if isinstance(v, Path) else v)
-                for k, v in sorted(vars(self.args).items())
-                if k != "subcommand"
-            },
-            "inputs": {
-                str(p): _sha256(p)
-                for p in [getattr(self.args, "table", None), getattr(self.args, "observed", None)]
-                if p is not None
-            },
+            "flags": self.flags,
+            "inputs": {str(p): _sha256(cwd / p) for p in self.inputs},
             "outputs": sorted(self.files),
         }
-        (self.out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
+        (out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
         return 0
 
 
@@ -320,11 +340,12 @@ def _cmd_rerun(args, run: _Run) -> int:
         raise DataError(f"{args.manifest} has no recorded argv")
     if not isinstance(inputs, dict):
         raise DataError(f"{args.manifest} has no recorded input digests")
+    cwd = Path(manifest["cwd"]) if "cwd" in manifest else Path.cwd()
     for path, recorded in inputs.items():
-        current = _sha256(Path(path))
+        current = _sha256(cwd / path)
         if current != recorded:
             raise DataError(f"input {path} changed: sha256 {current}, manifest has {recorded}")
-    return main([str(a) for a in argv])
+    return _dispatch([str(a) for a in argv], cwd)
 
 
 _COMMANDS = {
@@ -338,12 +359,22 @@ _COMMANDS = {
 }
 
 
+def _dispatch(argv: list, cwd: Path | None = None) -> int:
+    """Run one subcommand; relative paths in argv are relative to `cwd`."""
+    args = build_parser().parse_args(argv)
+    run = _Run(args, argv, cwd)
+    if cwd is not None:
+        for name in ("table", "observed"):
+            path = getattr(args, name, None)
+            if path is not None:
+                setattr(args, name, cwd / path)
+    return _COMMANDS[args.subcommand](args, run)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.subcommand](args, _Run(args, argv))
+        return _dispatch(argv)
     except UsageError as exc:
         print(f"abcgof: E_USAGE: {exc}", file=sys.stderr)
         return 1

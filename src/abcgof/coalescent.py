@@ -17,6 +17,7 @@ pooled unfolded site-frequency spectrum with the total mutation count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -266,28 +267,43 @@ def tajima_constants(n: int) -> tuple:
     return a1, e1, e2
 
 
-def tajimas_d(n_chromosomes: int, n_segregating: int, pi: float) -> float:
-    """Tajima's D; a monomorphic locus (no segregating sites) contributes 0."""
+def tajimas_d(n_chromosomes: int, n_segregating, pi):
+    """Tajima's D; a monomorphic locus (no segregating sites) contributes 0.
+
+    Takes one locus (scalars, returning a float) or per-locus arrays of
+    segregating-site counts and diversities (returning an array).
+    """
     if n_chromosomes < 2:
         raise ValueError("need at least 2 chromosomes")
-    s = n_segregating
-    if s == 0:
-        return 0.0
+    s, pi = np.broadcast_arrays(n_segregating, np.asarray(pi, dtype=float))
     a1, e1, e2 = tajima_constants(n_chromosomes)
-    return float((pi - s / a1) / np.sqrt(e1 * s + e2 * s * (s - 1.0)))
+    d = np.zeros(s.shape)
+    poly = s != 0
+    s, pi = s[poly], pi[poly]
+    d[poly] = (pi - s / a1) / np.sqrt(e1 * s + e2 * s * (s - 1.0))
+    return float(d) if d.ndim == 0 else d
 
 
 def stats_pi_tajima(loci_carrier_counts, config: LocusConfig) -> np.ndarray:
-    """(mean diversity, mean Tajima's D, variance of Tajima's D) across loci."""
-    if len(loci_carrier_counts) < 2:
+    """(mean diversity, mean Tajima's D, variance of Tajima's D) across loci.
+
+    All loci are evaluated at once; each locus's sum of c(n-c) is a sum of
+    integers, so it equals `pairwise_diversity`'s per-locus sum exactly.
+    """
+    n_loci = len(loci_carrier_counts)
+    if n_loci < 2:
         raise ValueError("need at least 2 loci for the across-locus variance")
     n = config.n_chromosomes
-    pis = np.empty(len(loci_carrier_counts))
-    ds = np.empty(len(loci_carrier_counts))
-    for i, carriers in enumerate(loci_carrier_counts):
-        carriers = np.asarray(carriers)
-        pis[i] = pairwise_diversity(carriers, n)
-        ds[i] = tajimas_d(n, carriers.size, pis[i])
+    loci = [np.asarray(c) for c in loci_carrier_counts]
+    segregating = np.array([c.size for c in loci])
+    carriers = np.concatenate(loci)
+    per_locus = np.bincount(
+        np.repeat(np.arange(n_loci), segregating),
+        weights=carriers * (n - carriers),
+        minlength=n_loci,
+    )
+    pis = per_locus / (n * (n - 1) / 2.0)
+    ds = tajimas_d(n, segregating, pis)
     return np.array([pis.mean(), ds.mean(), ds.var(ddof=1)])
 
 
@@ -303,14 +319,77 @@ def stats_sfs(loci_carrier_counts, config: LocusConfig) -> np.ndarray:
     return np.concatenate([[spectrum.sum()], spectrum]).astype(float)
 
 
+@lru_cache(maxsize=None)
+def _pair_counts(n: int) -> tuple:
+    """j(j-1)/2 for j = 0..n: the coalescence rate with j lineages at size 1."""
+    return tuple(j * (j - 1) / 2.0 for j in range(n + 1))
+
+
 def simulate_locus_set(
     demography: DemographyModel, config: LocusConfig, rng: np.random.Generator
 ) -> list:
-    """Carrier-count arrays for `n_loci` independent loci."""
+    """Carrier-count arrays for `n_loci` independent loci.
+
+    This is the one production coalescent loop. Per locus it makes the
+    generator calls of the genealogy and mutation-drop functions above, in
+    the same order, and the same floating-point operations, so its output
+    equals theirs bit for bit; those functions stay as the reference it is
+    tested against. The loop runs on Python floats and lists, because NumPy
+    scalar indexing and storing dominate at these sizes.
+    """
+    n = config.n_chromosomes
+    root = 2 * n - 2
+    half_theta = 0.5 * config.theta
+    sizes = demography.relative_sizes
+    ends = demography.start_times[1:] + (math.inf,)
+    pair_counts = _pair_counts(n)
     loci = []
     for _ in range(config.n_loci):
-        genealogy = simulate_genealogy(demography, config.n_chromosomes, rng)
-        loci.append(drop_mutations(genealogy, config.theta, rng).carrier_counts)
+        exps = rng.standard_exponential(n - 1).tolist()
+        uniforms = rng.random(2 * (n - 1)).tolist()
+        parent = [0] * root  # the root has no branch above it
+        node_time = [0.0] * n  # merge times are appended in node order
+        leaf_counts = [1] * n
+        active = list(range(n))
+        epoch = 0
+        sigma, end = sizes[0], ends[0]
+        epoch_base = 0.0
+        acc = 0.0
+        for node, j, e, u, v in zip(
+            range(n, root + 1), range(n, 1, -1), exps, uniforms[0::2], uniforms[1::2]
+        ):
+            pairs = pair_counts[j]
+            acc_next = acc + e / pairs
+            time_now = epoch_base + acc_next * sigma
+            while time_now > end:  # the wait crosses into the next epoch
+                span = (end - epoch_base) / sigma - acc
+                if span > 0:
+                    e = max(e - span * pairs, 0.0)
+                epoch += 1
+                epoch_base = end
+                sigma, end = sizes[epoch], ends[epoch]
+                acc = 0.0
+                acc_next = acc + e / pairs
+                time_now = epoch_base + acc_next * sigma
+            acc = acc_next
+
+            a = int(u * j)
+            b = int(v * (j - 1))
+            if b >= a:
+                b += 1
+            else:
+                a, b = b, a
+            left, right = active[a], active[b]
+            del active[b], active[a]  # b > a, so a keeps its index
+            active.append(node)
+            parent[left] = parent[right] = node
+            node_time.append(time_now)
+            leaf_counts.append(leaf_counts[left] + leaf_counts[right])
+
+        counts = rng.poisson(
+            [half_theta * (node_time[p] - t) for p, t in zip(parent, node_time)]
+        )
+        loci.append(np.array(leaf_counts[:root]).repeat(counts))
     return loci
 
 

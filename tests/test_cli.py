@@ -62,6 +62,15 @@ def test_missing_required_flag_is_usage_error(capsys, table_and_observed):
     assert "E_USAGE" in err and "--table" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_threads_below_one_is_usage_error(capsys, threads):
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", "toy-gaussian", "--n", "300", "--threads", threads,
+    )
+    assert code == 1 and out == ""
+    assert "E_USAGE" in err and "--threads" in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "gfit", "--frobnicate")
     assert code == 1 and "E_USAGE" in err
@@ -151,6 +160,32 @@ def test_rerun_refuses_a_changed_input_and_writes_nothing(capsys, tmp_path, tabl
     assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
 
 
+def test_rerun_from_another_directory(capsys, tmp_path, monkeypatch, table_and_observed):
+    table, observed = table_and_observed
+    run_dir = tmp_path / "d"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    (run_dir / "t.tsv").write_bytes(table.read_bytes())
+    (run_dir / "o.tsv").write_bytes(observed.read_bytes())
+    code, stdout1, _ = run_cli(
+        capsys, "gfit", "--table", "t.tsv", "--observed", "o.tsv",
+        "--M", "60", "--seed", "12", "--out", "run",
+    )
+    assert code == 0
+    manifest = (run_dir / "run" / "manifest.json").read_bytes()
+    assert json.loads(manifest)["cwd"] == str(run_dir)
+    first = (run_dir / "run" / "gfit.json").read_bytes()
+    (run_dir / "run" / "gfit.json").unlink()
+
+    monkeypatch.chdir(tmp_path)
+    code, stdout2, err = run_cli(capsys, "rerun", "d/run/manifest.json")
+    assert code == 0, err
+    assert stdout2 == stdout1
+    assert (run_dir / "run" / "gfit.json").read_bytes() == first
+    assert (run_dir / "run" / "manifest.json").read_bytes() == manifest
+    assert not (tmp_path / "run").exists()
+
+
 def test_rerun_rejects_non_manifest(capsys, tmp_path):
     path = tmp_path / "x.json"
     path.write_text("{}")
@@ -223,6 +258,23 @@ def test_study_calibrate_small(capsys):
     assert 0 <= payload["rejection_rate"] <= 1
     assert len(payload["p_values"]) == 20
     assert payload["config"]["null_model"]["name"] == "toy-gaussian"
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--model", "bottleneck", "--stats", "sfs", "--n", "30", "--seed", "2"),
+    ("study", "power", "--null", "bottleneck", "--truth", "expansion", "--n-sims", "60",
+     "--n-datasets", "4", "--M", "10", "--rate", "0.1", "--seed", "3"),
+    ("study", "power", "--null", "expansion", "--truth", "constant", "--stat", "post",
+     "--n-sims", "80", "--n-datasets", "2", "--M", "3", "--n-prime", "4", "--rate", "0.2",
+     "--seed", "4"),
+], ids=["simulate", "study-prior", "study-post"])
+def test_coalescent_stdout_is_byte_identical_across_runs_and_threads(capsys, argv):
+    outputs = []
+    for extra in ((), ("--threads", "1"), ("--threads", "2")):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] and outputs.count(outputs[0]) == 3
 
 
 def test_study_power_requires_truth(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from abcgof.coalescent import (
     stats_sfs,
     tajimas_d,
 )
+from abcgof.models import build_reference_table, get_simulator
 
 
 # --- independent oracles -----------------------------------------------------------
@@ -342,3 +344,108 @@ def test_stats_sfs_pools_carrier_counts_across_loci():
     config = LocusConfig(n_chromosomes=4, n_loci=2)
     stats = stats_sfs([np.array([1, 1, 3]), np.array([2])], config)
     assert stats.tolist() == [4.0, 2.0, 1.0, 1.0]  # total, then counts on 1..n-1
+
+
+# --- the production loop against the per-locus oracle ------------------------------
+
+
+def oracle_locus_set(demography, config, rng):
+    """`simulate_locus_set` spelled as one genealogy and one mutation drop per locus."""
+    return [
+        drop_mutations(
+            simulate_genealogy(demography, config.n_chromosomes, rng), config.theta, rng
+        ).carrier_counts
+        for _ in range(config.n_loci)
+    ]
+
+
+LOOP_CASES = [
+    (DemographyModel.constant(), LocusConfig(n_chromosomes=20, n_loci=50, theta=10.0)),
+    (DemographyModel.constant(0.37), LocusConfig(n_chromosomes=7, n_loci=1, theta=3.0)),
+    (DemographyModel.bottleneck(0.5, 0.1, 0.02), LocusConfig(n_chromosomes=20, n_loci=100)),
+    (DemographyModel.expansion(0.05, 0.2), LocusConfig(n_chromosomes=20, n_loci=100)),
+    (DemographyModel.expansion(0.3, 1.0), LocusConfig(n_chromosomes=2, n_loci=40, theta=8.0)),
+    (DemographyModel.bottleneck(0.3, 0.01, 0.005), LocusConfig(n_chromosomes=2, n_loci=40)),
+    (DemographyModel.bottleneck(0.6, 0.05, 0.03), LocusConfig(n_chromosomes=12, theta=0.0)),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("demography, config", LOOP_CASES)
+def test_locus_set_equals_the_per_locus_oracle(demography, config, seed):
+    fast = simulate_locus_set(demography, config, np.random.default_rng(seed))
+    slow = oracle_locus_set(demography, config, np.random.default_rng(seed))
+    assert len(fast) == len(slow) == config.n_loci
+    for got, want in zip(fast, slow):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_oracle_cases_cross_two_epoch_boundaries_in_one_wait():
+    # With two lineages there is one wait, from time 0 to the root; a root
+    # above the end of the bottleneck means that wait crossed both of its
+    # boundaries, so the comparison above covers the two-epoch carry-over.
+    demography, config = LOOP_CASES[5]
+    rng = np.random.default_rng(0)
+    heights = []
+    for _ in range(config.n_loci):
+        genealogy = simulate_genealogy(demography, config.n_chromosomes, rng)
+        drop_mutations(genealogy, config.theta, rng)
+        heights.append(genealogy.height)
+    assert max(heights) > demography.start_times[2]
+
+
+def test_locus_set_leaves_the_generator_where_the_oracle_does():
+    demography, config = LOOP_CASES[2]
+    fast_rng, slow_rng = np.random.default_rng(4), np.random.default_rng(4)
+    simulate_locus_set(demography, config, fast_rng)
+    oracle_locus_set(demography, config, slow_rng)
+    assert fast_rng.random() == slow_rng.random()
+
+
+@pytest.mark.parametrize(
+    "demography, config",
+    [case for case in LOOP_CASES if case[1].n_chromosomes > 2 and case[1].n_loci > 1],
+)
+def test_pi_tajima_equals_the_per_locus_loop(demography, config):
+    loci = oracle_locus_set(demography, config, np.random.default_rng(9))
+    n = config.n_chromosomes
+    pis = np.array([pairwise_diversity(c, n) for c in loci])
+    ds = np.array([tajimas_d(n, c.size, pi) for c, pi in zip(loci, pis)])
+    want = np.array([pis.mean(), ds.mean(), ds.var(ddof=1)])
+    assert stats_pi_tajima(loci, config).tobytes() == want.tobytes()
+
+
+def test_tajimas_d_takes_per_locus_arrays():
+    s = np.array([0, 2, 7, 1])
+    pi = np.array([0.0, 7 / 6, 3.5, 0.4])
+    got = tajimas_d(6, s, pi)
+    assert got.shape == (4,)
+    assert got.tolist() == [tajimas_d(6, int(k), float(p)) for k, p in zip(s, pi)]
+    assert isinstance(tajimas_d(6, 2, 1.0), float)
+
+
+# SHA-256 of the statistics of a 20-row table at seed 5, recorded before the
+# list-based loop replaced the per-locus oracle calls. A change here means
+# the coalescent random streams or arithmetic changed.
+GOLDEN_TABLE_DIGESTS = {
+    ("constant", "pi-tajima"):
+        "9e1085224a52e1fe82a54a7671b127a02cb628701df3d416070f4ffaa2b49cb0",
+    ("constant", "sfs"):
+        "cb702a116cbcfc3b9744d64eaf9fc477d89fed0820089e87c10dbe589aa41bea",
+    ("bottleneck", "pi-tajima"):
+        "d02e805ed3022c73a5709cd65a10eae7862768b1d22381eec0b1b7dbc3e95efc",
+    ("bottleneck", "sfs"):
+        "d7286e578f256ab62d7ed2841ad6449b089b1e7b238f63045289891771d0dfb0",
+    ("expansion", "pi-tajima"):
+        "0629ba6f8e2164c37198fcf8a4a24a02af91bd969bab00f7f83b06bfc9f506c6",
+    ("expansion", "sfs"):
+        "ba2c4101e41d7fb5c9dbf9f7928f3d4f2befd2e3cd3dceff61102c428a6f4792",
+}
+
+
+@pytest.mark.parametrize("label, stat_set", sorted(GOLDEN_TABLE_DIGESTS))
+def test_reference_table_statistics_match_golden_digest(label, stat_set):
+    table = build_reference_table(get_simulator(label, stat_set=stat_set), 20, 5)
+    digest = hashlib.sha256(table.stats.tobytes()).hexdigest()
+    assert digest == GOLDEN_TABLE_DIGESTS[label, stat_set]
