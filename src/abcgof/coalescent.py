@@ -271,10 +271,12 @@ def tajimas_d(n_chromosomes: int, n_segregating, pi):
     """Tajima's D; a monomorphic locus (no segregating sites) contributes 0.
 
     Takes one locus (scalars, returning a float) or per-locus arrays of
-    segregating-site counts and diversities (returning an array).
+    segregating-site counts and diversities (returning an array). The
+    normalization's variance constants are 0 for n < 4, so fewer chromosomes
+    are refused.
     """
-    if n_chromosomes < 2:
-        raise ValueError("need at least 2 chromosomes")
+    if n_chromosomes < 4:
+        raise ValueError(f"Tajima's D needs at least 4 chromosomes, got n={n_chromosomes}")
     s, pi = np.broadcast_arrays(n_segregating, np.asarray(pi, dtype=float))
     a1, e1, e2 = tajima_constants(n_chromosomes)
     d = np.zeros(s.shape)

@@ -16,6 +16,7 @@ format restricted to ``stat_`` columns and exactly one data row.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -261,7 +262,7 @@ def _parse_cell(cell: str, row: int, column: str, path) -> float:
         raise DataError(
             f"{path}: non-numeric cell at data row {row}, column {column!r}: {cell!r}"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataError(
             f"{path}: non-finite cell at data row {row}, column {column!r}: {cell!r}"
         )
@@ -275,8 +276,14 @@ def _parse_matrix(header: list[str], rows: list[list[str]], path) -> np.ndarray:
             raise DataError(
                 f"{path}: data row {i} has {len(row)} fields, header has {len(header)}"
             )
-        for j, cell in enumerate(row):
-            data[i - 1, j] = _parse_cell(cell, i, header[j], path)
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            values = None
+        if values is None or not all(map(math.isfinite, values)):
+            # Re-parse cell by cell so that the first bad cell is named.
+            values = [_parse_cell(cell, i, header[j], path) for j, cell in enumerate(row)]
+        data[i - 1] = values
     return data
 
 

@@ -45,15 +45,20 @@ def sample_moments(values) -> np.ndarray:
 
     Skewness and kurtosis use biased central moments (n denominators); the
     kurtosis is the raw fourth standardized moment, 3 for Gaussian data.
+
+    Each `np.add.reduce(...) / n` is exactly what `np.mean` computes, without
+    its Python-level wrapper; the powers stay `**` because products such as
+    `dev * dev * dev` round differently.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
-    mean = x.mean()
+    mean = np.add.reduce(x) / n
     dev = x - mean
-    m2 = np.mean(dev**2)
-    m3 = np.mean(dev**3)
-    m4 = np.mean(dev**4)
-    variance = float(np.sum(dev**2) / (n - 1))
+    sum_sq = np.add.reduce(dev**2)
+    m2 = sum_sq / n
+    m3 = np.add.reduce(dev**3) / n
+    m4 = np.add.reduce(dev**4) / n
+    variance = float(sum_sq / (n - 1))
     skewness = float(m3 / m2**1.5)
     kurtosis = float(m4 / m2**2)
     return np.array([float(mean), variance, skewness, kurtosis])

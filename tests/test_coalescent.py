@@ -217,6 +217,17 @@ def test_tajimas_d_matches_oracle_randomized(rng):
         )
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_tajimas_d_refuses_fewer_than_four_chromosomes(n):
+    with pytest.raises(ValueError, match=f"at least 4 chromosomes, got n={n}"):
+        tajimas_d(n, 3, 1.5)
+    config = LocusConfig(n_chromosomes=n, n_loci=10, theta=5.0)
+    loci = simulate_locus_set(DemographyModel.constant(), config, np.random.default_rng(n))
+    with pytest.raises(ValueError, match=f"at least 4 chromosomes, got n={n}"):
+        stats_pi_tajima(loci, config)
+    assert stats_sfs(loci, config).size == n
+
+
 def test_monomorphic_loci_give_all_zero_statistics():
     config = LocusConfig(n_chromosomes=4, n_loci=3, theta=0.0)
     loci = [np.empty(0, dtype=int)] * 3

@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -339,3 +341,67 @@ def test_observed_roundtrip(tmp_path, rng):
     loaded = load_observed(tmp_path / "o.tsv")
     assert np.array_equal(loaded.values, obs.values)
     assert loaded.stat_names == obs.stat_names
+
+
+def cells_oracle(header, rows, path):
+    """Per-cell parse in row-major order: the reference for the row-at-a-time loader."""
+    data = np.empty((len(rows), len(header)))
+    for i, row in enumerate(rows, start=1):
+        for j, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-numeric cell at data row {i}, column {header[j]!r}: {cell!r}"
+                ) from None
+            if not np.isfinite(value):
+                raise DataError(
+                    f"{path}: non-finite cell at data row {i}, column {header[j]!r}: {cell!r}"
+                )
+            data[i - 1, j] = value
+    return data
+
+
+BAD_CELLS = ("nan", "inf", "-inf", "1e400", "abc", "")
+
+
+@st.composite
+def tables_with_bad_cells(draw):
+    n_rows = draw(st.integers(2, 25))
+    n_cols = draw(st.integers(2, 6))
+    cell = st.one_of(finite_floats.map(repr), st.integers(-10**9, 10**9).map(str))
+    rows = [[draw(cell) for _ in range(n_cols)] for _ in range(n_rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
+        rows[i][j] = draw(st.sampled_from(BAD_CELLS))
+    return rows
+
+
+@given(tables_with_bad_cells())
+@settings(max_examples=200, deadline=None)
+def test_loader_matches_the_per_cell_reference(rows):
+    header = ["param_a"] + [f"stat_{j}" for j in range(len(rows[0]) - 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join("\t".join(r) for r in [header] + rows) + "\n")
+        try:
+            want = cells_oracle(header, rows, path)
+        except DataError as exc:
+            with pytest.raises(DataError) as info:
+                load_reference_table(path)
+            assert str(info.value) == str(exc)
+            return
+        table = load_reference_table(path)
+    assert table.params.tobytes() == want[:, [0]].tobytes()
+    assert table.stats.tobytes() == want[:, 1:].tobytes()
+
+
+def test_loader_names_the_first_bad_cell_in_row_major_order(tmp_path):
+    path = tmp_path / "t.tsv"
+    rows = [["1.0", "2.0"] for _ in range(10)]
+    rows[4][1] = "inf"
+    rows[8][0] = "abc"
+    path.write_text("param_a\tstat_b\n" + "".join("\t".join(r) + "\n" for r in rows))
+    with pytest.raises(DataError, match=r"non-finite cell at data row 5, column 'stat_b': 'inf'"):
+        load_reference_table(path)
