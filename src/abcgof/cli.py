@@ -51,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _thread_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -63,11 +63,12 @@ def _thread_count(text: str) -> int:
 
 def _add_common(parser, *, table=False, observed=False, model=False):
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
+    # Still validated and recorded: manifests written with it must replay.
     parser.add_argument(
         "--threads",
-        type=_thread_count,
+        type=_positive_int,
         default=1,
-        help="worker threads; never changes results",
+        help="recorded in the manifest; all work runs in one thread",
     )
     parser.add_argument("--out", type=Path, default=None, help="directory for output files")
     if table:
@@ -110,7 +111,7 @@ def build_parser() -> _Parser:
     _add_common(p, table=True, observed=True, model=True)
     p.add_argument("--rate", type=float, default=0.01, help="acceptance rate")
     p.add_argument("--n-prime", type=int, default=100, help="posterior replicates")
-    p.add_argument("--bins", type=int, default=20, help="histogram bins")
+    p.add_argument("--bins", type=_positive_int, default=20, help="histogram bins")
 
     p = sub.add_parser("gfitpca", help="2-D PCA projection with a coverage envelope")
     _add_common(p, table=True, observed=True)
@@ -130,7 +131,7 @@ def build_parser() -> _Parser:
     p.add_argument("--M", type=int, default=None, help="null replicates (500 prior, 200 post)")
     p.add_argument("--n-prime", type=int, default=100)
     p.add_argument("--alpha", type=float, default=0.05, help="rejection threshold")
-    p.add_argument("--bins", type=int, default=20, help="P-value histogram bins")
+    p.add_argument("--bins", type=_positive_int, default=20, help="P-value histogram bins")
 
     p = sub.add_parser("rerun", help="replay a manifest and reproduce its outputs")
     p.add_argument("manifest", type=Path)
@@ -224,7 +225,7 @@ def _check_model_stats(simulator, table):
 
 def _cmd_simulate(args, run: _Run) -> int:
     simulator = _model(args)
-    table = build_reference_table(simulator, args.n, args.seed, threads=args.threads)
+    table = build_reference_table(simulator, args.n, args.seed)
     if run.out_dir is None:
         run.set_stdout(reference_table_tsv(table))
     else:
@@ -235,7 +236,7 @@ def _cmd_simulate(args, run: _Run) -> int:
 
 def _cmd_gfit(args, run: _Run) -> int:
     table, observed = _load_inputs(args)
-    result = gfit(table, observed, args.rate, args.M, args.seed, threads=args.threads)
+    result = gfit(table, observed, args.rate, args.M, args.seed)
     text = result.to_json() + "\n"
     run.set_stdout(text)
     run.add_file("gfit.json", text)
@@ -247,14 +248,7 @@ def _cmd_gfit_post(args, run: _Run) -> int:
     simulator = _model(args)
     _check_model_stats(simulator, table)
     result = gfit_post(
-        table,
-        observed,
-        args.rate,
-        simulator,
-        args.n_prime,
-        args.M,
-        args.seed,
-        threads=args.threads,
+        table, observed, args.rate, simulator, args.n_prime, args.M, args.seed
     )
     text = result.to_json() + "\n"
     run.set_stdout(text)
@@ -317,7 +311,6 @@ def _cmd_study(args, run: _Run) -> int:
         n_prime=args.n_prime,
         alpha=args.alpha,
         master_seed=args.seed,
-        threads=args.threads,
         model_options=options,
     )
     result = run_calibration(config) if args.mode == "calibrate" else run_power(config)

@@ -5,8 +5,7 @@ posterior predictive checks, the PCA diagnostic) operates on a reference
 table of simulated (parameter, summary statistic) pairs, standardizes the
 statistic space with median absolute deviations, and compares statistic
 vectors with a scaled Euclidean distance. All types are immutable after
-construction and all operations are pure functions, so they are safe to
-share across worker threads.
+construction and all operations are pure functions.
 
 File format: UTF-8 TSV with a header line. Parameter columns are prefixed
 ``param_``, statistic columns ``stat_``; numbers use the C locale and no

@@ -40,10 +40,10 @@ class Simulator(abc.ABC):
     """The generating mechanism: one statistic vector from one parameter vector.
 
     Implementations must be pure given the rng (identical seeds, identical
-    output) and stateless, so one instance can be shared across worker
-    threads. `param_transforms` names the scale ("identity", "log" or
-    "logit") on which the regression adjustment handles each parameter, so
-    constrained parameters stay inside their support; see
+    output) and stateless, so one instance serves every table row, null
+    replicate and study dataset. `param_transforms` names the scale
+    ("identity", "log" or "logit") on which the regression adjustment handles
+    each parameter, so constrained parameters stay inside their support; see
     :func:`abcgof.adjust.adjusted_posterior`.
     """
 
@@ -174,7 +174,6 @@ def null_distribution_prior(
     rate: float,
     M: int,
     seed,
-    threads: int = 1,
 ) -> np.ndarray:
     """Leave-one-out null distribution of the prior statistic.
 
@@ -185,9 +184,7 @@ def null_distribution_prior(
     """
     rows = _pseudo_observed_rows(table.n, M, seed)
     values = parallel_map(
-        lambda r: d_prior(table, table.stats[r], scaling, rate, exclude=int(r)),
-        rows,
-        threads=threads,
+        lambda r: d_prior(table, table.stats[r], scaling, rate, exclude=int(r)), rows
     )
     return np.asarray(values, dtype=float)
 
@@ -292,7 +289,6 @@ def null_distribution_post(
     n_prime: int,
     M: int,
     seed,
-    threads: int = 1,
 ) -> PosteriorNull:
     """Leave-one-out null distribution of the posterior statistic.
 
@@ -309,7 +305,7 @@ def null_distribution_post(
             table, table.stats[row], scaling, rate, simulator, n_prime, rng, exclude=row
         )
 
-    pooled = np.vstack(seeded_map(one, replicates_seed, M, threads))
+    pooled = np.vstack(seeded_map(one, replicates_seed, M))
     pooled_scaling = replicate_scaling(pooled, scaling)
     values = np.array(
         [
@@ -330,13 +326,12 @@ def gfit(
     rate: float,
     M: int,
     seed: int,
-    threads: int = 1,
 ) -> GofResult:
     """Goodness-of-fit test of the table's model using the prior statistic."""
     settings = GofSettings(acceptance_rate=rate, M=M, n_prime=None, seed=operator.index(seed))
     scaling = fit_scaling(table)
     observed_value = d_prior(table, observed, scaling, rate)
-    nulls = null_distribution_prior(table, scaling, rate, M, settings.seed, threads=threads)
+    nulls = null_distribution_prior(table, scaling, rate, M, settings.seed)
     return GofResult(
         statistic_kind="prior",
         observed_value=observed_value,
@@ -354,7 +349,6 @@ def gfit_post(
     n_prime: int,
     M: int,
     seed: int,
-    threads: int = 1,
 ) -> GofResult:
     """Goodness-of-fit test using the posterior-replicate statistic.
 
@@ -366,9 +360,7 @@ def gfit_post(
     settings = GofSettings(acceptance_rate=rate, M=M, n_prime=n_prime, seed=operator.index(seed))
     scaling = fit_scaling(table)
     observed_seed, null_seed = children(settings.seed, 2)
-    null = null_distribution_post(
-        table, scaling, rate, simulator, n_prime, M, null_seed, threads=threads
-    )
+    null = null_distribution_post(table, scaling, rate, simulator, n_prime, M, null_seed)
     rng = np.random.default_rng(observed_seed)
     observed_value, _ = d_post(
         table, observed, scaling, rate, simulator, n_prime, rng, null.pooled

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import fit_scaling
+from .core import DataError, fit_scaling
 from .gof import (
     Simulator,
     d_post,
@@ -51,7 +51,6 @@ class PowerStudyConfig:
     n_prime: int = 100
     alpha: float = 0.05
     master_seed: int = 0
-    threads: int = 1
     model_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -61,6 +60,11 @@ class PowerStudyConfig:
             raise ValueError("all study counts must be positive")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
+        # The library raises these too, but only once the table is built.
+        if not 0 < self.acceptance_rate <= 1:
+            raise ValueError(f"acceptance rate must be in (0, 1], got {self.acceptance_rate}")
+        if self.M > self.n_sims:
+            raise DataError("more replicates than simulations")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,22 +109,19 @@ def _echo(config: PowerStudyConfig, null_sim: Simulator, alt_sim: Simulator) -> 
 
 def _run_study(config: PowerStudyConfig, null_sim: Simulator, alt_sim: Simulator):
     table_seed, null_seed, data_seed = children(config.master_seed, 3)
-    table = build_reference_table(null_sim, config.n_sims, table_seed, threads=config.threads)
+    table = build_reference_table(null_sim, config.n_sims, table_seed)
     scaling = fit_scaling(table)
     rate = config.acceptance_rate
 
     if config.statistic == "prior":
-        nulls = null_distribution_prior(
-            table, scaling, rate, config.M, null_seed, threads=config.threads
-        )
+        nulls = null_distribution_prior(table, scaling, rate, config.M, null_seed)
 
         def statistic(observed, rng):
             return d_prior(table, observed, scaling, rate)
 
     else:
         null = null_distribution_post(
-            table, scaling, rate, null_sim, config.n_prime, config.M, null_seed,
-            threads=config.threads,
+            table, scaling, rate, null_sim, config.n_prime, config.M, null_seed
         )
         nulls = null.values
 
@@ -132,7 +133,7 @@ def _run_study(config: PowerStudyConfig, null_sim: Simulator, alt_sim: Simulator
     def one(i, rng):
         return p_value(statistic(prior_predictive(alt_sim, rng)[1], rng), nulls)
 
-    return np.array(seeded_map(one, data_seed, config.n_datasets, config.threads))
+    return np.array(seeded_map(one, data_seed, config.n_datasets))
 
 
 def _finish(config: PowerStudyConfig, p_values: np.ndarray, echo: dict) -> PowerStudyResult:

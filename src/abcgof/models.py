@@ -107,9 +107,7 @@ def get_simulator(name: str, sample_size: int = 50, stat_set: str = "pi-tajima")
     raise ValueError(f"unknown model {name!r}; known models: {known}")
 
 
-def build_reference_table(
-    simulator: Simulator, n_sims: int, seed, threads: int = 1
-) -> ReferenceTable:
+def build_reference_table(simulator: Simulator, n_sims: int, seed) -> ReferenceTable:
     """Simulate a reference table: n prior draws and their statistics.
 
     Row i is the prior-predictive draw on stream i of its own seed (see
@@ -119,7 +117,7 @@ def build_reference_table(
     if n_sims < 2:
         raise ValueError("a reference table needs at least 2 rows")
     params, stats = zip(*seeded_map(
-        lambda i, rng: prior_predictive(simulator, rng, row=i), seed, n_sims, threads
+        lambda i, rng: prior_predictive(simulator, rng, row=i), seed, n_sims
     ))
     return ReferenceTable(
         param_names=simulator.param_names,

@@ -1,11 +1,12 @@
 """Random streams and the order-preserving map that runs the Monte Carlo work.
 
-Every task owns a pre-derived random stream, so results are identical for
-any worker count; parallelism only changes wall time. All streams come from
-one master seed (an int or a ``SeedSequence``) through :func:`children`,
-which never mutates its argument, so the same seed always gives the same
-streams: two consumers (a table and a null, say) given one seed share
-streams, so give them different children of it. The layout, child by child:
+Tasks run serially, in order, in the calling thread. Every task owns a
+pre-derived random stream, so its result depends only on its index and the
+seed, never on the tasks run before it. All streams come from one master
+seed (an int or a ``SeedSequence``) through :func:`children`, which never
+mutates its argument, so the same seed always gives the same streams: two
+consumers (a table and a null, say) given one seed share streams, so give
+them different children of it. The layout, child by child:
 
 - reference table (:func:`abcgof.models.build_reference_table`): row i
   draws its parameters and simulates on child i of the seed;
@@ -23,8 +24,6 @@ streams, so give them different children of it. The layout, child by child:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 
@@ -40,14 +39,14 @@ def children(seed, n: int) -> list[np.random.SeedSequence]:
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(item) for item in items]``, run serially.
+
+    `threads` is ignored; it stays only because perfbench's tracer passes it.
+    """
+    return [fn(item) for item in items]
 
 
-def seeded_map(fn, seed, n: int, threads: int = 1) -> list:
+def seeded_map(fn, seed, n: int) -> list:
     """``[fn(i, rng_i) for i in range(n)]``, rng_i a generator on child i of `seed`."""
     streams = children(seed, n)
-    return parallel_map(lambda i: fn(i, np.random.default_rng(streams[i])), range(n), threads)
+    return parallel_map(lambda i: fn(i, np.random.default_rng(streams[i])), range(n))

@@ -1,13 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abcgof
 from abcgof.cli import main
+from abcgof.models import CoalescentSimulator, ToySimulator
 
 @pytest.fixture
 def table_and_observed(tmp_path):
@@ -69,6 +76,53 @@ def test_threads_below_one_is_usage_error(capsys, threads):
     )
     assert code == 1 and out == ""
     assert "E_USAGE" in err and "--threads" in err
+
+
+@pytest.fixture
+def simulate_calls(monkeypatch):
+    """Records one entry per simulator call made by any built-in model."""
+    calls = []
+    for cls in (ToySimulator, CoalescentSimulator):
+        def counting(self, theta, rng, real=cls.simulate):
+            calls.append(self.name)
+            return real(self, theta, rng)
+
+        monkeypatch.setattr(cls, "simulate", counting)
+    return calls
+
+
+STUDY = ("study", "calibrate", "--null", "bottleneck", "--n-sims", "200", "--n-datasets", "4",
+         "--M", "10", "--rate", "0.1")
+
+
+@pytest.mark.parametrize("bad, code, message", [
+    (("--bins", "0"), 1, "E_USAGE: argument --bins: must be at least 1"),
+    (("--rate", "0"), 2, "E_DATA: acceptance rate must be in (0, 1], got 0.0"),
+    (("--rate", "1.5"), 2, "E_DATA: acceptance rate must be in (0, 1], got 1.5"),
+    (("--M", "300"), 2, "E_DATA: more replicates than simulations"),
+], ids=["bins-0", "rate-0", "rate-above-1", "M-above-n-sims"])
+def test_bad_study_input_fails_before_any_simulation(capsys, simulate_calls, bad, code, message):
+    got, out, err = run_cli(capsys, *STUDY, *bad)
+    assert (got, out) == (code, "")
+    assert message in err
+    assert simulate_calls == []
+
+
+def test_bad_ppc_bins_fails_before_any_simulation(capsys, table_and_observed, simulate_calls):
+    table, observed = table_and_observed
+    code, out, err = run_cli(
+        capsys, "ppc", "--table", table, "--observed", observed, "--model", "toy-gaussian",
+        "--rate", "0.1", "--n-prime", "40", "--bins", "0",
+    )
+    assert (code, out) == (1, "")
+    assert "E_USAGE" in err and "--bins" in err
+    assert simulate_calls == []
+
+
+def test_the_simulate_counter_sees_a_valid_study(capsys, simulate_calls):
+    code, _, err = run_cli(capsys, *STUDY, "--n-sims", "40")
+    assert code == 0, err
+    assert len(simulate_calls) == 40 + 4  # table rows + datasets
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -184,6 +238,30 @@ def test_rerun_from_another_directory(capsys, tmp_path, monkeypatch, table_and_o
     assert (run_dir / "run" / "gfit.json").read_bytes() == first
     assert (run_dir / "run" / "manifest.json").read_bytes() == manifest
     assert not (tmp_path / "run").exists()
+
+
+def test_manifest_recorded_with_threads_replays_byte_identically(
+    capsys, tmp_path, table_and_observed
+):
+    # --threads no longer changes how the work runs, but manifests that
+    # recorded it must still replay.
+    table, observed = table_and_observed
+    out_dir = tmp_path / "d"
+    code, stdout1, _ = run_cli(
+        capsys, "gfit", "--table", table, "--observed", observed,
+        "--M", "60", "--seed", "12", "--threads", "8", "--out", out_dir,
+    )
+    assert code == 0
+    manifest = (out_dir / "manifest.json").read_bytes()
+    assert json.loads(manifest)["flags"]["threads"] == 8
+    first = (out_dir / "gfit.json").read_bytes()
+    (out_dir / "gfit.json").unlink()
+
+    code, stdout2, err = run_cli(capsys, "rerun", out_dir / "manifest.json")
+    assert code == 0, err
+    assert stdout2 == stdout1
+    assert (out_dir / "gfit.json").read_bytes() == first
+    assert (out_dir / "manifest.json").read_bytes() == manifest
 
 
 def test_rerun_rejects_non_manifest(capsys, tmp_path):
@@ -308,3 +386,66 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "abcgof" in capsys.readouterr().out
+
+
+NON_FINITE = ("nan", "NaN", "inf", "-inf", "Infinity", "1e400")
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def malformed_tables(draw):
+    """TSV bytes for a reference table with one defect, or None for a directory."""
+    kind = draw(st.sampled_from(
+        ["ragged", "non-numeric", "non-finite", "no-header", "bom", "invalid-utf8", "directory"]
+    ))
+    if kind == "directory":
+        return kind, None
+    n = draw(st.integers(1, 6))
+    number = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+    lines = [["param_a", "stat_b", "stat_c"]] + [[draw(number) for _ in range(3)] for _ in range(n)]
+    i, j = draw(st.integers(1, n)), draw(st.integers(0, 2))
+    if kind == "ragged":
+        cut = draw(st.integers(1, 2))
+        lines[i] = lines[i][:-cut] if draw(st.booleans()) else lines[i] + ["1.0"] * cut
+    elif kind == "non-numeric":
+        lines[i][j] = draw(st.text(max_size=6).filter(lambda t: not _is_float(t)))
+    elif kind == "non-finite":
+        lines[i][j] = draw(st.sampled_from(NON_FINITE))
+    elif kind == "no-header":
+        lines = lines[1:] if draw(st.booleans()) else [[""]] + lines[1:]
+    data = "".join("\t".join(line) + "\n" for line in lines).encode("utf-8")
+    if kind == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif kind == "invalid-utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3\x28", b"\xed\xa0\x80"])) + data[at:]
+    return kind, data
+
+
+@given(malformed_tables())
+@settings(max_examples=200, deadline=None)
+def test_gfit_on_a_malformed_table_is_one_data_error_line(case):
+    kind, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        observed = os.path.join(tmp, "o.tsv")
+        with open(observed, "w", encoding="utf-8") as fh:
+            fh.write("stat_b\tstat_c\n1.0\t2.0\n")
+        table = os.path.join(tmp, "t.tsv")
+        if data is None:
+            os.mkdir(table)
+        else:
+            with open(table, "wb") as fh:
+                fh.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["gfit", "--table", table, "--observed", observed, "--M", "1"])
+    assert (code, out.getvalue()) == (2, ""), kind
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("abcgof: E_DATA: "), (kind, lines)

@@ -198,8 +198,7 @@ def test_prior_nulls_deterministic_and_thread_invariant():
     scaling = fit_scaling(table)
     a = null_distribution_prior(table, scaling, 0.25, M=20, seed=7)
     b = null_distribution_prior(table, scaling, 0.25, M=20, seed=7)
-    c = null_distribution_prior(table, scaling, 0.25, M=20, seed=7, threads=4)
-    assert np.array_equal(a, b) and np.array_equal(a, c)
+    assert np.array_equal(a, b)
     assert not np.array_equal(a, null_distribution_prior(table, scaling, 0.25, M=20, seed=8))
 
 
@@ -318,10 +317,8 @@ def test_post_nulls_deterministic_and_thread_invariant():
     sim = NoisySimulator()
     a = null_distribution_post(table, scaling, 0.5, sim, n_prime=4, M=6, seed=2)
     b = null_distribution_post(table, scaling, 0.5, sim, n_prime=4, M=6, seed=2)
-    c = null_distribution_post(table, scaling, 0.5, sim, n_prime=4, M=6, seed=2, threads=3)
     for field in ("rows", "values", "pooled"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
-        assert np.array_equal(getattr(a, field), getattr(c, field))
 
 
 def test_post_nulls_use_pooled_scaling_and_are_permutation_invariant():
@@ -434,8 +431,7 @@ def test_gfit_post_deterministic_and_thread_invariant():
     obs = make_observed(table, [5.0])
     a = gfit_post(table, obs, 0.5, sim, 4, 6, seed=1)
     b = gfit_post(table, obs, 0.5, sim, 4, 6, seed=1)
-    c = gfit_post(table, obs, 0.5, sim, 4, 6, seed=1, threads=5)
-    assert a.to_json() == b.to_json() == c.to_json()
+    assert a.to_json() == b.to_json()
 
 
 # --- seed layout ----------------------------------------------------------------------

