@@ -34,6 +34,7 @@ from .gof import (
     d_prior,
     gfit,
     gfit_post,
+    goodness_of_fit,
     null_distribution_post,
     null_distribution_prior,
     p_value,
@@ -84,6 +85,7 @@ __all__ = [
     "get_simulator",
     "gfit",
     "gfit_post",
+    "goodness_of_fit",
     "load_observed",
     "load_reference_table",
     "mad",

@@ -32,14 +32,12 @@ from .core import (
 )
 from .gof import SimulationError, gfit, gfit_post, posterior_replicates
 from .harness import PowerStudyConfig, emit_pvalue_histogram, run_calibration, run_power
-from .models import STAT_SETS, TOY_MODELS, build_reference_table, get_simulator
+from .models import MODEL_NAMES, STAT_SETS, build_reference_table, get_simulator
 
 try:
     __version__ = metadata.version("abcgof")
 except metadata.PackageNotFoundError:  # running from a source tree
     __version__ = "0.1.0"
-
-MODEL_NAMES = TOY_MODELS + ("constant", "bottleneck", "expansion")
 
 
 class UsageError(Exception):

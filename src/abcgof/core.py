@@ -7,7 +7,7 @@ statistic space with median absolute deviations, and compares statistic
 vectors with a scaled Euclidean distance. All types are immutable after
 construction and all operations are pure functions.
 
-File format: UTF-8 TSV with a header line. Parameter columns are prefixed
+File format: UTF-8 TSV (no byte-order mark) with a header line. Parameter columns are prefixed
 ``param_``, statistic columns ``stat_``; numbers use the C locale and no
 cell may be empty or non-numeric. An observed-statistics file uses the same
 format restricted to ``stat_`` columns and exactly one data row.
@@ -246,6 +246,8 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
         raise DataError(f"no such file: {path}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not valid UTF-8: {exc}") from None
+    if text.startswith("\ufeff"):
+        raise DataError(f"{path}: starts with a UTF-8 byte-order mark; save it without one")
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise DataError(f"{path}: missing header")

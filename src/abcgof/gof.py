@@ -35,6 +35,8 @@ from .core import (
 from .parallel import children, parallel_map, seeded_map
 from .rejection import reject
 
+STATISTIC_KINDS = ("prior", "post")
+
 
 class Simulator(abc.ABC):
     """The generating mechanism: one statistic vector from one parameter vector.
@@ -112,7 +114,6 @@ class GofResult:
     statistic_kind: str  # "prior" or "post"
     observed_value: float
     null_values: np.ndarray
-    p_value: float
     settings: GofSettings
 
     def __post_init__(self):
@@ -121,9 +122,11 @@ class GofResult:
             raise ValueError("null values must be M finite numbers")
         nulls.setflags(write=False)
         object.__setattr__(self, "null_values", nulls)
-        recomputed = p_value(self.observed_value, nulls)
-        if self.p_value != recomputed:
-            raise ValueError("p_value does not match its null distribution")
+
+    @property
+    def p_value(self) -> float:
+        """Fraction of null values >= the observed one; see :func:`p_value`."""
+        return p_value(self.observed_value, self.null_values)
 
     @property
     def p_value_conservative(self) -> float:
@@ -252,7 +255,7 @@ def d_post(
     simulator: Simulator,
     n_prime: int,
     rng: np.random.Generator,
-    null_pooled: np.ndarray | None = None,
+    null_pooled: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Mean scaled distance from the observed statistics to posterior replicates.
 
@@ -260,7 +263,7 @@ def d_post(
     posterior predictive checks). Distances use a MAD scaling refit on
     replicates, not the prior-table scaling: on `null_pooled` (the pooled
     replicates of :func:`null_distribution_post`) extended with these n'
-    replicates, or on the n' alone when `null_pooled` is None.
+    replicates.
     """
     vec = observed_vector(observed, table)
     replicates = posterior_replicates(table, vec, scaling, rate, simulator, n_prime, rng)
@@ -320,6 +323,44 @@ def null_distribution_post(
 # Pipeline glue
 
 
+def goodness_of_fit(
+    kind: str,
+    table: ReferenceTable,
+    rate: float,
+    M: int,
+    seed,
+    simulator: Simulator | None = None,
+    n_prime: int | None = None,
+):
+    """One test statistic paired with its null: ``(null values, statistic)``.
+
+    Fits the table's MAD scaling and computes the M null values once, from
+    `seed`. ``statistic(observed, rng)`` is the observed statistic under that
+    same scaling. For ``"prior"`` it is :func:`d_prior` and ignores `rng`.
+    For ``"post"`` (which needs `simulator` and `n_prime`) it is
+    :func:`d_post`: n' replicates drawn on `rng`, scaled by the null's pooled
+    replicates extended with its own, as each null value's own replicates
+    are part of the pool.
+    """
+    if kind not in STATISTIC_KINDS:
+        raise ValueError(f"statistic must be one of {STATISTIC_KINDS}")
+    scaling = fit_scaling(table)
+    if kind == "prior":
+        nulls = null_distribution_prior(table, scaling, rate, M, seed)
+
+        def statistic(observed, rng):
+            return d_prior(table, observed, scaling, rate)
+
+        return nulls, statistic
+
+    null = null_distribution_post(table, scaling, rate, simulator, n_prime, M, seed)
+
+    def statistic(observed, rng):
+        return d_post(table, observed, scaling, rate, simulator, n_prime, rng, null.pooled)[0]
+
+    return null.values, statistic
+
+
 def gfit(
     table: ReferenceTable,
     observed: ObservedStats,
@@ -329,14 +370,12 @@ def gfit(
 ) -> GofResult:
     """Goodness-of-fit test of the table's model using the prior statistic."""
     settings = GofSettings(acceptance_rate=rate, M=M, n_prime=None, seed=operator.index(seed))
-    scaling = fit_scaling(table)
-    observed_value = d_prior(table, observed, scaling, rate)
-    nulls = null_distribution_prior(table, scaling, rate, M, settings.seed)
+    vec = observed_vector(observed, table)  # a name mismatch fails before the null
+    nulls, statistic = goodness_of_fit("prior", table, rate, M, settings.seed)
     return GofResult(
         statistic_kind="prior",
-        observed_value=observed_value,
+        observed_value=statistic(vec, None),
         null_values=nulls,
-        p_value=p_value(observed_value, nulls),
         settings=settings,
     )
 
@@ -352,24 +391,18 @@ def gfit_post(
 ) -> GofResult:
     """Goodness-of-fit test using the posterior-replicate statistic.
 
-    The M null values use the scaling fit on their pooled M x n' replicates;
-    the observed value uses a scaling fit on that pool extended with the
-    observed run's own n' replicates, mirroring how each null replicate's
-    own simulations participate in the pool.
+    The observed data's n' replicates are drawn on child 0 of the seed and
+    the null is computed from child 1; see :func:`goodness_of_fit` for the
+    scaling each uses.
     """
     settings = GofSettings(acceptance_rate=rate, M=M, n_prime=n_prime, seed=operator.index(seed))
-    scaling = fit_scaling(table)
+    vec = observed_vector(observed, table)  # a name mismatch fails before M x n' simulations
     observed_seed, null_seed = children(settings.seed, 2)
-    null = null_distribution_post(table, scaling, rate, simulator, n_prime, M, null_seed)
-    rng = np.random.default_rng(observed_seed)
-    observed_value, _ = d_post(
-        table, observed, scaling, rate, simulator, n_prime, rng, null.pooled
-    )
+    nulls, statistic = goodness_of_fit("post", table, rate, M, null_seed, simulator, n_prime)
     return GofResult(
         statistic_kind="post",
-        observed_value=observed_value,
-        null_values=null.values,
-        p_value=p_value(observed_value, null.values),
+        observed_value=statistic(vec, np.random.default_rng(observed_seed)),
+        null_values=nulls,
         settings=settings,
     )
 
@@ -377,17 +410,14 @@ def gfit_post(
 def observed_d_post(
     observed_vec: np.ndarray,
     observed_replicates: np.ndarray,
-    null_pooled: np.ndarray | None,
+    null_pooled: np.ndarray,
     prior_scaling: ScalingVector,
 ) -> float:
     """Observed posterior statistic under the pooled replicate scaling.
 
-    When null replicates are available the scaling pool is their matrix
-    extended with the observed run's replicates; otherwise the observed
-    run's replicates alone.
+    The scaling pool is the null's replicate matrix extended with the
+    observed run's replicates.
     """
-    pool = observed_replicates
-    if null_pooled is not None:
-        pool = np.vstack([null_pooled, observed_replicates])
+    pool = np.vstack([null_pooled, observed_replicates])
     rscaling = replicate_scaling(pool, prior_scaling)
     return float(scaled_distances(observed_replicates, observed_vec, rscaling).mean())

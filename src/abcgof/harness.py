@@ -16,20 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataError, fit_scaling
-from .gof import (
-    Simulator,
-    d_post,
-    d_prior,
-    null_distribution_post,
-    null_distribution_prior,
-    p_value,
-    prior_predictive,
-)
+from .core import DataError
+from .gof import STATISTIC_KINDS, Simulator, goodness_of_fit, p_value, prior_predictive
 from .models import build_reference_table, get_simulator
 from .parallel import children, seeded_map
-
-STATISTIC_KINDS = ("prior", "post")
 
 
 @dataclass(frozen=True)
@@ -92,60 +82,37 @@ def _resolve(model, options: dict) -> Simulator:
     return get_simulator(str(model), **options)
 
 
-def _echo(config: PowerStudyConfig, null_sim: Simulator, alt_sim: Simulator) -> dict:
-    return {
-        "null_model": null_sim.config(),
-        "alt_model": alt_sim.config(),
-        "statistic": config.statistic,
-        "n_sims": config.n_sims,
-        "n_datasets": config.n_datasets,
-        "acceptance_rate": config.acceptance_rate,
-        "M": config.M,
-        "n_prime": config.n_prime if config.statistic == "post" else None,
-        "alpha": config.alpha,
-        "master_seed": config.master_seed,
-    }
-
-
-def _run_study(config: PowerStudyConfig, null_sim: Simulator, alt_sim: Simulator):
+def _study(config: PowerStudyConfig, null_sim: Simulator, alt_sim: Simulator) -> PowerStudyResult:
     table_seed, null_seed, data_seed = children(config.master_seed, 3)
     table = build_reference_table(null_sim, config.n_sims, table_seed)
-    scaling = fit_scaling(table)
-    rate = config.acceptance_rate
-
-    if config.statistic == "prior":
-        nulls = null_distribution_prior(table, scaling, rate, config.M, null_seed)
-
-        def statistic(observed, rng):
-            return d_prior(table, observed, scaling, rate)
-
-    else:
-        null = null_distribution_post(
-            table, scaling, rate, null_sim, config.n_prime, config.M, null_seed
-        )
-        nulls = null.values
-
-        def statistic(observed, rng):
-            return d_post(
-                table, observed, scaling, rate, null_sim, config.n_prime, rng, null.pooled
-            )[0]
+    nulls, statistic = goodness_of_fit(
+        config.statistic, table, config.acceptance_rate, config.M, null_seed,
+        null_sim, config.n_prime,
+    )
 
     def one(i, rng):
         return p_value(statistic(prior_predictive(alt_sim, rng)[1], rng), nulls)
 
-    return np.array(seeded_map(one, data_seed, config.n_datasets))
+    p_values = np.array(seeded_map(one, data_seed, config.n_datasets))
 
-
-def _finish(config: PowerStudyConfig, p_values: np.ndarray, echo: dict) -> PowerStudyResult:
     from scipy import stats as sps  # deferred: importing scipy.stats takes ~1 s
 
-    rejection_rate = float(np.count_nonzero(p_values < config.alpha) / p_values.size)
-    ks = sps.kstest(p_values, "uniform")
     return PowerStudyResult(
-        rejection_rate=rejection_rate,
+        rejection_rate=float(np.count_nonzero(p_values < config.alpha) / p_values.size),
         p_values=p_values,
-        ks_uniformity_p=float(ks.pvalue),
-        config_echo=echo,
+        ks_uniformity_p=float(sps.kstest(p_values, "uniform").pvalue),
+        config_echo={
+            "null_model": null_sim.config(),
+            "alt_model": alt_sim.config(),
+            "statistic": config.statistic,
+            "n_sims": config.n_sims,
+            "n_datasets": config.n_datasets,
+            "acceptance_rate": config.acceptance_rate,
+            "M": config.M,
+            "n_prime": config.n_prime if config.statistic == "post" else None,
+            "alpha": config.alpha,
+            "master_seed": config.master_seed,
+        },
     )
 
 
@@ -161,8 +128,7 @@ def run_calibration(config: PowerStudyConfig) -> PowerStudyResult:
         alt_sim = _resolve(config.alt_model, config.model_options)
         if alt_sim.config() != null_sim.config():
             raise ValueError("calibration requires truth = null model")
-    p_values = _run_study(config, null_sim, null_sim)
-    return _finish(config, p_values, _echo(config, null_sim, null_sim))
+    return _study(config, null_sim, null_sim)
 
 
 def run_power(config: PowerStudyConfig) -> PowerStudyResult:
@@ -173,8 +139,7 @@ def run_power(config: PowerStudyConfig) -> PowerStudyResult:
     alt_sim = _resolve(config.alt_model, config.model_options)
     if alt_sim.config() == null_sim.config():
         raise ValueError("power requires truth != null model")
-    p_values = _run_study(config, null_sim, alt_sim)
-    return _finish(config, p_values, _echo(config, null_sim, alt_sim))
+    return _study(config, null_sim, alt_sim)
 
 
 def emit_pvalue_histogram(result: PowerStudyResult, bins: int) -> str:
@@ -190,12 +155,12 @@ def emit_pvalue_histogram(result: PowerStudyResult, bins: int) -> str:
 
 
 def one_sided_two_proportion_p(k1: int, n1: int, k2: int, n2: int) -> float:
-    """P-value for H1: proportion 1 > proportion 2 (pooled z test)."""
+    """P-value for H1: proportion 1 > proportion 2 (z test, one proportion under H0)."""
     from scipy import stats as sps
 
     p1, p2 = k1 / n1, k2 / n2
-    pooled = (k1 + k2) / (n1 + n2)
-    se = np.sqrt(pooled * (1 - pooled) * (1 / n1 + 1 / n2))
+    common = (k1 + k2) / (n1 + n2)
+    se = np.sqrt(common * (1 - common) * (1 / n1 + 1 / n2))
     if se == 0:
         return 1.0
     return float(sps.norm.sf((p1 - p2) / se))

@@ -14,6 +14,7 @@ from .gof import Simulator, prior_predictive
 from .parallel import seeded_map
 
 TOY_MODELS = ("toy-gaussian", "toy-laplace")
+MODEL_NAMES = TOY_MODELS + coalescent.LABELS
 STAT_SETS = ("pi-tajima", "sfs")
 
 PI_TAJIMA_STAT_NAMES = ("pi_mean", "tajimas_d_mean", "tajimas_d_var")
@@ -103,8 +104,7 @@ def get_simulator(name: str, sample_size: int = 50, stat_set: str = "pi-tajima")
         return ToySimulator(name.removeprefix("toy-"), sample_size=sample_size)
     if name in coalescent.LABELS:
         return CoalescentSimulator(name, stat_set=stat_set)
-    known = ", ".join(TOY_MODELS + coalescent.LABELS)
-    raise ValueError(f"unknown model {name!r}; known models: {known}")
+    raise ValueError(f"unknown model {name!r}; known models: {', '.join(MODEL_NAMES)}")
 
 
 def build_reference_table(simulator: Simulator, n_sims: int, seed) -> ReferenceTable:

@@ -20,7 +20,6 @@ class AcceptanceSet:
 
     indices: np.ndarray
     distances: np.ndarray
-    acceptance_rate: float
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=int).copy()
@@ -29,8 +28,6 @@ class AcceptanceSet:
             raise ValueError("indices and distances must be non-empty and aligned")
         if np.any(np.diff(dist) < 0):
             raise ValueError("accepted distances must be nondecreasing")
-        if not 0 < self.acceptance_rate <= 1:
-            raise ValueError("acceptance rate must be in (0, 1]")
         idx.setflags(write=False)
         dist.setflags(write=False)
         object.__setattr__(self, "indices", idx)
@@ -94,4 +91,4 @@ def reject(
     chosen = np.concatenate([below, ties[: keep - below.size]])
     order = np.lexsort((chosen, dist[chosen]))
     chosen = chosen[order]
-    return AcceptanceSet(indices=chosen, distances=dist[chosen], acceptance_rate=rate)
+    return AcceptanceSet(indices=chosen, distances=dist[chosen])

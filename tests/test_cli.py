@@ -125,6 +125,21 @@ def test_the_simulate_counter_sees_a_valid_study(capsys, simulate_calls):
     assert len(simulate_calls) == 40 + 4  # table rows + datasets
 
 
+def test_gfit_post_observed_name_mismatch_fails_before_any_simulation(
+    capsys, tmp_path, table_and_observed, simulate_calls
+):
+    table, _ = table_and_observed
+    observed = tmp_path / "three.tsv"
+    observed.write_text("stat_mean\tstat_variance\tstat_skewness\n0.1\t1.0\t0.0\n")
+    code, out, err = run_cli(
+        capsys, "gfit-post", "--table", table, "--observed", observed,
+        "--model", "toy-gaussian", "--rate", "0.1", "--M", "10", "--n-prime", "15",
+    )
+    assert (code, out) == (2, "")
+    assert "E_DATA: statistic name mismatch (missing from observed: kurtosis)" in err
+    assert simulate_calls == []
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "gfit", "--frobnicate")
     assert code == 1 and "E_USAGE" in err
@@ -353,6 +368,56 @@ def test_coalescent_stdout_is_byte_identical_across_runs_and_threads(capsys, arg
         assert code == 0, err
         outputs.append(out)
     assert outputs[0] and outputs.count(outputs[0]) == 3
+
+
+@pytest.fixture(scope="module")
+def bottleneck_inputs(tmp_path_factory):
+    """A 400-row bottleneck table and, as observed data, row 1 of a second 2-row table."""
+    tmp = tmp_path_factory.mktemp("bottleneck")
+    sim = abcgof.get_simulator("bottleneck")
+    abcgof.save_reference_table(abcgof.build_reference_table(sim, 400, 8), tmp / "t.tsv")
+    other = abcgof.build_reference_table(sim, 2, 9)
+    abcgof.save_observed(abcgof.ObservedStats(other.stat_names, other.stats[1]), tmp / "o.tsv")
+    return {"TABLE": tmp / "t.tsv", "OBSERVED": tmp / "o.tsv"}
+
+
+BOTTLENECK = ("--table", "TABLE", "--observed", "OBSERVED")  # bottleneck_inputs' paths
+GOLDEN_STDOUT = [
+    (("simulate", "--model", "bottleneck", "--stats", "sfs", "--n", "40", "--seed", "2"),
+     "f45df64f725fb04b17964b68603c55f4d217dcaf578ba41930dd8e13e3624ac2"),
+    (("simulate", "--model", "expansion", "--stats", "pi-tajima", "--n", "40", "--seed", "3"),
+     "64ddcc75e0b0f6b408f30762c2c4c2661760a7c1be711b2d2fce916b41fd6e30"),
+    (("simulate", "--model", "constant", "--n", "40", "--seed", "4"),
+     "711b14bcec81238cbcc6090064ec7bb4f59c24db22b6a013c01918f53c69fe69"),
+    (("study", "calibrate", "--null", "constant", "--n-sims", "60", "--n-datasets", "6",
+      "--M", "10", "--rate", "0.1", "--seed", "5"),
+     "ee44f4e3eda07a316ce15ca0bcd7a6271f12b28f9af0490192dbe76ce0bcfecb"),
+    (("study", "power", "--null", "bottleneck", "--truth", "expansion", "--stats", "sfs",
+      "--n-sims", "60", "--n-datasets", "6", "--M", "10", "--rate", "0.1", "--seed", "6"),
+     "fc9342a58cb0524acf2158905014d7d7c3f3814e5668e375dfaa2f69efef12f5"),
+    (("study", "power", "--null", "expansion", "--truth", "bottleneck", "--stat", "post",
+      "--n-sims", "100", "--n-datasets", "4", "--M", "6", "--n-prime", "10", "--rate", "0.1",
+      "--seed", "7"),
+     "df4e20dfe67cba6182dfdd57e88edee179783e983f45317c9c118d92975bced7"),
+    (("gfit-post", *BOTTLENECK, "--model", "bottleneck", "--rate", "0.05", "--M", "20",
+      "--n-prime", "20", "--seed", "10"),
+     "a19978a7425f1712fd3530e7ca31839e6e1651a4aa6f8eb4bd33fde0013ff828"),
+    (("ppc", *BOTTLENECK, "--model", "bottleneck", "--rate", "0.05", "--n-prime", "30",
+      "--seed", "11"),
+     "041a2c91f3e3fa3efd0821ee4a9cf494b8ddc46a51e4b9035a1daf7881dd166e"),
+    (("gfit", *BOTTLENECK, "--rate", "0.05", "--M", "100", "--seed", "12"),
+     "f3e6a815a380c6a32eff4d433e52b8d98ae15606641da5cecf72ec6ca1d4e540"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT, ids=[
+    "simulate-bottleneck-sfs", "simulate-expansion", "simulate-constant", "study-calibrate",
+    "study-power-prior", "study-power-post", "gfit-post", "ppc", "gfit",
+])
+def test_stdout_matches_golden_digest(capsys, bottleneck_inputs, argv, digest):
+    code, out, err = run_cli(capsys, *[bottleneck_inputs.get(a, a) for a in argv])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_study_power_requires_truth(capsys):

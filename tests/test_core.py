@@ -300,6 +300,18 @@ def test_load_rejects_short_row(tmp_path):
         load_reference_table(path)
 
 
+@pytest.mark.parametrize("load, text", [
+    (load_reference_table, "param_a\tstat_b\n1.0\t2.0\n3.0\t4.0\n"),
+    (load_observed, "stat_b\n2.0\n"),
+], ids=["table", "observed"])
+def test_load_names_a_utf8_byte_order_mark(tmp_path, load, text):
+    path = tmp_path / "bom.tsv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    with pytest.raises(DataError, match="byte-order mark") as info:
+        load(path)
+    assert "\ufeff" not in str(info.value)
+
+
 def test_load_missing_file():
     with pytest.raises(DataError, match="no such file"):
         load_reference_table("/nonexistent/quux.tsv")

@@ -7,6 +7,7 @@ from abcgof import (
     DataError,
     GofResult,
     GofSettings,
+    ObservedStats,
     SimulationError,
     Simulator,
     build_reference_table,
@@ -219,7 +220,8 @@ def test_d_post_zero_for_simulator_reproducing_observed():
     scaling = fit_scaling(table)
     sim = ConstantSimulator(4.25)
     value, replicates = d_post(
-        table, [4.25], scaling, 0.5, sim, n_prime=8, rng=np.random.default_rng(0)
+        table, [4.25], scaling, 0.5, sim, n_prime=8, rng=np.random.default_rng(0),
+        null_pooled=np.empty((0, 1)),
     )
     assert value == 0.0
     assert replicates.shape == (8, 1)
@@ -232,7 +234,8 @@ def test_d_post_constant_simulator_falls_back_to_prior_scale():
     sim = ConstantSimulator(9.0)
     observed = 4.0
     value, _ = d_post(
-        table, [observed], scaling, 0.5, sim, n_prime=5, rng=np.random.default_rng(0)
+        table, [observed], scaling, 0.5, sim, n_prime=5, rng=np.random.default_rng(0),
+        null_pooled=np.empty((0, 1)),
     )
     assert value == pytest.approx(abs(9.0 - observed) / scaling.scales[0], rel=1e-12)
 
@@ -241,8 +244,9 @@ def test_d_post_deterministic_per_seed():
     table = echo_table()
     scaling = fit_scaling(table)
     sim = NoisySimulator()
-    a = d_post(table, [5.0], scaling, 0.5, sim, 6, np.random.default_rng(11))
-    b = d_post(table, [5.0], scaling, 0.5, sim, 6, np.random.default_rng(11))
+    no_pool = np.empty((0, 1))
+    a = d_post(table, [5.0], scaling, 0.5, sim, 6, np.random.default_rng(11), no_pool)
+    b = d_post(table, [5.0], scaling, 0.5, sim, 6, np.random.default_rng(11), no_pool)
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
 
@@ -375,7 +379,8 @@ def test_gfit_result_recomputes_its_p_value(rng):
     table = make_table(rng.standard_normal((30, 1)))
     obs = make_observed(table, [0.0])
     result = gfit(table, obs, rate=0.5, M=10, seed=0)
-    with pytest.raises(ValueError, match="does not match"):
+    assert result.p_value == p_value(result.observed_value, result.null_values)
+    with pytest.raises(TypeError):
         GofResult(
             statistic_kind="prior",
             observed_value=result.observed_value,
@@ -432,6 +437,24 @@ def test_gfit_post_deterministic_and_thread_invariant():
     a = gfit_post(table, obs, 0.5, sim, 4, 6, seed=1)
     b = gfit_post(table, obs, 0.5, sim, 4, 6, seed=1)
     assert a.to_json() == b.to_json()
+
+
+class CountingSimulator(NoisySimulator):
+    def __init__(self):
+        self.calls = 0
+
+    def simulate(self, theta, rng):
+        self.calls += 1
+        return super().simulate(theta, rng)
+
+
+def test_gfit_post_name_mismatch_fails_before_any_simulation():
+    table = echo_table(16)
+    sim = CountingSimulator()
+    observed = ObservedStats(stat_names=["other"], values=[5.0])
+    with pytest.raises(DataError, match="missing from observed: s0"):
+        gfit_post(table, observed, 0.5, sim, n_prime=4, M=6, seed=1)
+    assert sim.calls == 0
 
 
 # --- seed layout ----------------------------------------------------------------------
