@@ -26,6 +26,7 @@ from .core import (
     DataError,
     ObservedStats,
     fit_scaling,
+    json_text,
     load_observed,
     load_reference_table,
     reference_table_tsv,
@@ -144,69 +145,42 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-class _Run:
-    """Collects output files and the manifest for one invocation.
+def _write_outputs(args, argv, cwd, stdout_text: str, files: dict) -> int:
+    """Print stdout and, with --out, write the files and the manifest.
 
     The manifest records the paths as typed and the working directory they
     are relative to, so `rerun` works from any directory.
     """
-
-    def __init__(self, args, argv, cwd: Path | None = None):
-        self.args = args
-        self.argv = list(argv)
-        self.cwd = cwd
-        self.flags = {
-            k: (str(v) if isinstance(v, Path) else v)
-            for k, v in sorted(vars(args).items())
-            if k != "subcommand"
-        }
-        self.inputs = [
-            p for p in (getattr(args, "table", None), getattr(args, "observed", None))
-            if p is not None
-        ]
-        self.out_dir = getattr(args, "out", None)
-        self.files = {}
-        self.stdout_text = ""
-
-    def add_file(self, name: str, text: str):
-        self.files[name] = text
-
-    def set_stdout(self, text: str):
-        self.stdout_text = text
-
-    def finish(self) -> int:
-        if self.stdout_text:
-            sys.stdout.write(self.stdout_text)
-        if self.out_dir is None:
-            return 0
-        cwd = Path.cwd() if self.cwd is None else self.cwd
-        out_dir = cwd / self.out_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in self.files.items():
-            (out_dir / name).write_text(text, encoding="utf-8")
-        manifest = {
-            "tool": "abcgof",
-            "version": __version__,
-            "subcommand": self.args.subcommand,
-            "argv": self.argv,
-            "cwd": str(cwd),
-            "seed": getattr(self.args, "seed", None),
-            "flags": self.flags,
-            "inputs": {str(p): _sha256(cwd / p) for p in self.inputs},
-            "outputs": sorted(self.files),
-        }
-        (out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
+    sys.stdout.write(stdout_text)
+    if args.out is None:
         return 0
+    cwd = Path.cwd() if cwd is None else cwd
+    flags = {
+        k: (str(v) if isinstance(v, Path) else v)
+        for k, v in sorted(vars(args).items())
+        if k != "subcommand"
+    }
+    inputs = [flags[k] for k in ("table", "observed") if k in flags]
+    manifest = {
+        "tool": "abcgof",
+        "version": __version__,
+        "subcommand": args.subcommand,
+        "argv": argv,
+        "cwd": str(cwd),
+        "seed": args.seed,
+        "flags": flags,
+        "inputs": {p: _sha256(cwd / p) for p in inputs},
+        "outputs": sorted(files),
+    }
+    out_dir = cwd / args.out
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in {**files, "manifest.json": json_text(manifest)}.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    return 0
 
 
 def _load_inputs(args):
-    table = load_reference_table(args.table)
-    observed = load_observed(args.observed)
-    return table, observed
+    return load_reference_table(args.table), load_observed(args.observed)
 
 
 def _model(args):
@@ -221,40 +195,38 @@ def _check_model_stats(simulator, table):
         )
 
 
-def _cmd_simulate(args, run: _Run) -> int:
+# Each _cmd_* returns (stdout text, {output file name: text}).
+
+
+def _cmd_simulate(args):
     simulator = _model(args)
     table = build_reference_table(simulator, args.n, args.seed)
-    if run.out_dir is None:
-        run.set_stdout(reference_table_tsv(table))
-    else:
-        run.add_file("table.tsv", reference_table_tsv(table))
-        run.add_file("simulate.json", _json_text({"rows": table.n, "model": simulator.config()}))
-    return run.finish()
+    if args.out is None:
+        return reference_table_tsv(table), {}
+    return "", {
+        "table.tsv": reference_table_tsv(table),
+        "simulate.json": json_text({"rows": table.n, "model": simulator.config()}),
+    }
 
 
-def _cmd_gfit(args, run: _Run) -> int:
+def _cmd_gfit(args):
     table, observed = _load_inputs(args)
-    result = gfit(table, observed, args.rate, args.M, args.seed)
-    text = result.to_json() + "\n"
-    run.set_stdout(text)
-    run.add_file("gfit.json", text)
-    return run.finish()
+    text = json_text(gfit(table, observed, args.rate, args.M, args.seed).to_dict())
+    return text, {"gfit.json": text}
 
 
-def _cmd_gfit_post(args, run: _Run) -> int:
+def _cmd_gfit_post(args):
     table, observed = _load_inputs(args)
     simulator = _model(args)
     _check_model_stats(simulator, table)
     result = gfit_post(
         table, observed, args.rate, simulator, args.n_prime, args.M, args.seed
     )
-    text = result.to_json() + "\n"
-    run.set_stdout(text)
-    run.add_file("gfit_post.json", text)
-    return run.finish()
+    text = json_text(result.to_dict())
+    return text, {"gfit_post.json": text}
 
 
-def _cmd_ppc(args, run: _Run) -> int:
+def _cmd_ppc(args):
     table, observed = _load_inputs(args)
     simulator = _model(args)
     _check_model_stats(simulator, table)
@@ -264,36 +236,31 @@ def _cmd_ppc(args, run: _Run) -> int:
     replicates = posterior_replicates(
         table, obs.values, scaling, args.rate, simulator, args.n_prime, rng
     )
-    report = ppc.ppc_report(replicates, obs)
+    text = json_text(ppc.ppc_report(replicates, obs).to_dict())
     histograms = ppc.ppc_histogram_data(replicates, obs, args.bins)
-    text = report.to_json() + "\n"
-    run.set_stdout(text)
-    run.add_file("ppc.json", text)
-    run.add_file("ppc_histogram.tsv", ppc.histogram_tsv(histograms))
-    return run.finish()
+    return text, {"ppc.json": text, "ppc_histogram.tsv": ppc.histogram_tsv(histograms)}
 
 
-def _cmd_gfitpca(args, run: _Run) -> int:
+def _cmd_gfitpca(args):
     table, observed = _load_inputs(args)
     scaling = fit_scaling(table)
     projection = pca.pca_fit(table, observed, scaling)
     env = pca.envelope(projection.scores, projection.observed_score, args.coverage)
-    summary = {
+    text = json_text({
         "explained_fraction": list(projection.explained_fraction),
         "coverage": env.coverage,
         "contains_observed": env.contains_observed,
-        "observed_score": [float(v) for v in projection.observed_score],
-        "polygon": [[float(a), float(b)] for a, b in env.polygon],
+        "observed_score": projection.observed_score.tolist(),
+        "polygon": env.polygon.tolist(),
+    })
+    return text, {
+        "gfitpca.json": text,
+        "scores.tsv": pca.scores_tsv(projection),
+        "envelope.tsv": pca.polygon_tsv(env),
     }
-    text = _json_text(summary)
-    run.set_stdout(text)
-    run.add_file("gfitpca.json", text)
-    run.add_file("scores.tsv", pca.scores_tsv(projection))
-    run.add_file("envelope.tsv", pca.polygon_tsv(env))
-    return run.finish()
 
 
-def _cmd_study(args, run: _Run) -> int:
+def _cmd_study(args):
     if args.mode == "power" and args.truth is None:
         raise UsageError("study power requires --truth")
     M = args.M if args.M is not None else (500 if args.stat == "prior" else 200)
@@ -312,31 +279,9 @@ def _cmd_study(args, run: _Run) -> int:
         model_options=options,
     )
     result = run_calibration(config) if args.mode == "calibrate" else run_power(config)
-    text = result.to_json() + "\n"
-    run.set_stdout(text)
-    run.add_file("study.json", text)
-    run.add_file("pvalue_histogram.tsv", emit_pvalue_histogram(result, args.bins))
-    return run.finish()
-
-
-def _cmd_rerun(args, run: _Run) -> int:
-    try:
-        manifest = json.loads(args.manifest.read_text(encoding="utf-8"))
-        argv, inputs = manifest["argv"], manifest["inputs"]
-    except FileNotFoundError:
-        raise DataError(f"no such file: {args.manifest}") from None
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise DataError(f"{args.manifest} is not a run manifest: {exc}") from None
-    if not isinstance(argv, list) or not argv:
-        raise DataError(f"{args.manifest} has no recorded argv")
-    if not isinstance(inputs, dict):
-        raise DataError(f"{args.manifest} has no recorded input digests")
-    cwd = Path(manifest["cwd"]) if "cwd" in manifest else Path.cwd()
-    for path, recorded in inputs.items():
-        current = _sha256(cwd / path)
-        if current != recorded:
-            raise DataError(f"input {path} changed: sha256 {current}, manifest has {recorded}")
-    return _dispatch([str(a) for a in argv], cwd)
+    text = json_text(result.to_dict())
+    histogram = emit_pvalue_histogram(result, args.bins)
+    return text, {"study.json": text, "pvalue_histogram.tsv": histogram}
 
 
 _COMMANDS = {
@@ -346,26 +291,53 @@ _COMMANDS = {
     "ppc": _cmd_ppc,
     "gfitpca": _cmd_gfitpca,
     "study": _cmd_study,
-    "rerun": _cmd_rerun,
 }
 
 
-def _dispatch(argv: list, cwd: Path | None = None) -> int:
-    """Run one subcommand; relative paths in argv are relative to `cwd`."""
+def _run(args, argv: list, cwd: Path | None = None) -> int:
+    """Run one subcommand other than rerun; relative paths in argv are relative to `cwd`."""
+    resolved = argparse.Namespace(**vars(args))
+    for name in ("table", "observed"):
+        if hasattr(args, name):  # Path() / path keeps the path as typed
+            setattr(resolved, name, (Path() if cwd is None else cwd) / getattr(args, name))
+    return _write_outputs(args, argv, cwd, *_COMMANDS[args.subcommand](resolved))
+
+
+def _rerun(path: Path) -> int:
+    """Replay a manifest after checking that its inputs are unchanged."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(manifest, dict):
+            raise DataError(f"{path} is not a run manifest: expected a JSON object")
+        argv, inputs = manifest["argv"], manifest["inputs"]
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except (json.JSONDecodeError, KeyError) as exc:
+        raise DataError(f"{path} is not a run manifest: {exc}") from None
+    if not isinstance(argv, list) or not argv:
+        raise DataError(f"{path} has no recorded argv")
+    if not isinstance(inputs, dict):
+        raise DataError(f"{path} has no recorded input digests")
+    cwd = manifest.get("cwd", str(Path.cwd()))
+    if not isinstance(cwd, str):
+        raise DataError(f"{path} records a cwd that is not a path: {cwd!r}")
+    cwd = Path(cwd)
+    for typed, recorded in inputs.items():
+        current = _sha256(cwd / typed)
+        if current != recorded:
+            raise DataError(f"input {typed} changed: sha256 {current}, manifest has {recorded}")
+    argv = [str(a) for a in argv]
     args = build_parser().parse_args(argv)
-    run = _Run(args, argv, cwd)
-    if cwd is not None:
-        for name in ("table", "observed"):
-            path = getattr(args, name, None)
-            if path is not None:
-                setattr(args, name, cwd / path)
-    return _COMMANDS[args.subcommand](args, run)
+    if args.subcommand == "rerun":
+        raise DataError(f"{path} records a rerun, not a run to replay")
+    return _run(args, argv, cwd)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        return _dispatch(argv)
+        args = build_parser().parse_args(argv)
+        return _rerun(args.manifest) if args.subcommand == "rerun" else _run(args, argv)
     except UsageError as exc:
         print(f"abcgof: E_USAGE: {exc}", file=sys.stderr)
         return 1

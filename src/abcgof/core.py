@@ -15,6 +15,7 @@ format restricted to ``stat_`` columns and exactly one data row.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -333,24 +334,32 @@ def load_observed(path) -> ObservedStats:
     )
 
 
-def _format_row(values) -> str:
-    return "\t".join(str(float(v)) for v in values)
+def tsv_text(header, rows) -> str:
+    """Render TSV with a header line, writing each cell with `str`.
+
+    Rows hold Python scalars, as ``ndarray.tolist()`` returns them, so floats
+    print in shortest round-trip form and counts as bare integers.
+    """
+    lines = ["\t".join(header)]
+    lines.extend("\t".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def json_text(payload) -> str:
+    """Render JSON indented by 2 with sorted keys and a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def reference_table_tsv(table: ReferenceTable) -> str:
     """Render a table as TSV; floats use shortest round-trip formatting."""
     header = [PARAM_PREFIX + n for n in table.param_names]
     header += [STAT_PREFIX + n for n in table.stat_names]
-    lines = ["\t".join(header)]
-    for i in range(table.n):
-        lines.append(_format_row(table.params[i]) + "\t" + _format_row(table.stats[i]))
-    return "\n".join(lines) + "\n"
+    return tsv_text(header, np.hstack([table.params, table.stats]).tolist())
 
 
 def observed_tsv(observed: ObservedStats) -> str:
     """Render an observed-statistics file (one data row)."""
-    header = [STAT_PREFIX + n for n in observed.stat_names]
-    return "\t".join(header) + "\n" + _format_row(observed.values) + "\n"
+    return tsv_text([STAT_PREFIX + n for n in observed.stat_names], [observed.values.tolist()])
 
 
 def save_reference_table(table: ReferenceTable, path) -> None:

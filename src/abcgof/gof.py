@@ -15,7 +15,6 @@ Every random stream comes from one master seed; the layout is documented in
 from __future__ import annotations
 
 import abc
-import json
 import operator
 from dataclasses import dataclass
 
@@ -146,9 +145,6 @@ class GofResult:
             "seed": self.settings.seed,
             "null_values": self.null_values.tolist(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def p_value(observed: float, nulls) -> float:

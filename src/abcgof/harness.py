@@ -11,12 +11,11 @@ streams are laid out in :mod:`abcgof.parallel`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataError
+from .core import DataError, tsv_text
 from .gof import STATISTIC_KINDS, Simulator, goodness_of_fit, p_value, prior_predictive
 from .models import build_reference_table, get_simulator
 from .parallel import children, seeded_map
@@ -71,9 +70,6 @@ class PowerStudyResult:
             "p_values": self.p_values.tolist(),
             "config": self.config_echo,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _resolve(model, options: dict) -> Simulator:
@@ -148,10 +144,8 @@ def emit_pvalue_histogram(result: PowerStudyResult, bins: int) -> str:
         raise ValueError(f"bins must be >= 1, got {bins}")
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts, _ = np.histogram(result.p_values, bins=edges)
-    lines = ["bin_lo\tbin_hi\tcount"]
-    for b in range(bins):
-        lines.append(f"{float(edges[b])}\t{float(edges[b + 1])}\t{int(counts[b])}")
-    return "\n".join(lines) + "\n"
+    edges = edges.tolist()
+    return tsv_text(["bin_lo", "bin_hi", "count"], zip(edges[:-1], edges[1:], counts.tolist()))
 
 
 def one_sided_two_proportion_p(k1: int, n1: int, k2: int, n2: int) -> float:

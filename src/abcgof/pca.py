@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, ReferenceTable, ScalingVector, observed_vector
+from .core import DataError, ReferenceTable, ScalingVector, observed_vector, tsv_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,17 +171,11 @@ def point_in_convex(polygon: np.ndarray, point) -> bool:
 
 def scores_tsv(projection: PcaProjection) -> str:
     """Scores plus the observed point as TSV (`pc1`, `pc2`, `kind`)."""
-    lines = ["pc1\tpc2\tkind"]
-    for row in projection.scores:
-        lines.append(f"{float(row[0])}\t{float(row[1])}\tsim")
-    obs = projection.observed_score
-    lines.append(f"{float(obs[0])}\t{float(obs[1])}\tobserved")
-    return "\n".join(lines) + "\n"
+    rows = [[*row, "sim"] for row in projection.scores.tolist()]
+    rows.append([*projection.observed_score.tolist(), "observed"])
+    return tsv_text(["pc1", "pc2", "kind"], rows)
 
 
 def polygon_tsv(env: Envelope) -> str:
     """Envelope vertices as TSV (`pc1`, `pc2`), in polygon order."""
-    lines = ["pc1\tpc2"]
-    for row in env.polygon:
-        lines.append(f"{float(row[0])}\t{float(row[1])}")
-    return "\n".join(lines) + "\n"
+    return tsv_text(["pc1", "pc2"], env.polygon.tolist())

@@ -8,12 +8,11 @@ out-of-range flag per statistic, plus histogram data for external plotting.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObservedStats
+from .core import ObservedStats, tsv_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,9 +45,6 @@ class PpcReport:
             }
         n_prime = len(next(iter(self.per_stat.values())).replicates) if self.per_stat else 0
         return {"n_prime": n_prime, "stats": stats}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def ppc_report(replicates: np.ndarray, observed: ObservedStats) -> PpcReport:
@@ -106,10 +102,8 @@ def ppc_histogram_data(
 
 def histogram_tsv(histograms: dict) -> str:
     """Render :func:`ppc_histogram_data` output as TSV for external plotting."""
-    lines = ["stat\tbin_lo\tbin_hi\tcount"]
+    rows = []
     for name, (edges, counts, _observed) in histograms.items():
-        for b in range(len(counts)):
-            lines.append(
-                f"{name}\t{float(edges[b])}\t{float(edges[b + 1])}\t{int(counts[b])}"
-            )
-    return "\n".join(lines) + "\n"
+        edges = edges.tolist()
+        rows += [[name, lo, hi, c] for lo, hi, c in zip(edges[:-1], edges[1:], counts.tolist())]
+    return tsv_text(["stat", "bin_lo", "bin_hi", "count"], rows)

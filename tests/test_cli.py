@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -286,6 +287,23 @@ def test_rerun_rejects_non_manifest(capsys, tmp_path):
     assert code == 2 and "E_DATA" in err
 
 
+@pytest.mark.parametrize("manifest", [
+    {"argv": ["rerun", "m.json"], "inputs": {}},
+    [1, 2],
+    {"argv": ["simulate", "--model", "toy-gaussian", "--n", "3", "--out", "d"], "inputs": {},
+     "cwd": 5},
+], ids=["records-a-rerun", "not-an-object", "cwd-not-a-string"])
+def test_rerun_refuses_a_malformed_manifest_and_writes_nothing(
+    capsys, tmp_path, monkeypatch, manifest
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    code, out, err = run_cli(capsys, "rerun", "m.json")
+    assert (code, out) == (2, "")
+    assert err.startswith("abcgof: E_DATA: ") and err.count("\n") == 1, err
+    assert [path.name for path in tmp_path.iterdir()] == ["m.json"]
+
+
 def test_gfit_post_runs_and_mismatched_model_fails(capsys, table_and_observed):
     table, observed = table_and_observed
     code, out, _ = run_cli(
@@ -382,42 +400,120 @@ def bottleneck_inputs(tmp_path_factory):
 
 
 BOTTLENECK = ("--table", "TABLE", "--observed", "OBSERVED")  # bottleneck_inputs' paths
+SIM_BOTTLENECK = "f45df64f725fb04b17964b68603c55f4d217dcaf578ba41930dd8e13e3624ac2"
+SIM_EXPANSION = "64ddcc75e0b0f6b408f30762c2c4c2661760a7c1be711b2d2fce916b41fd6e30"
+SIM_CONSTANT = "711b14bcec81238cbcc6090064ec7bb4f59c24db22b6a013c01918f53c69fe69"
+SIM_TOY = "94b5ce979895334980e17380ec1a8fb7534b8e2226496472cade02c737e3be73"
+STUDY_CALIBRATE = "ee44f4e3eda07a316ce15ca0bcd7a6271f12b28f9af0490192dbe76ce0bcfecb"
+STUDY_PRIOR = "fc9342a58cb0524acf2158905014d7d7c3f3814e5668e375dfaa2f69efef12f5"
+STUDY_POST = "df4e20dfe67cba6182dfdd57e88edee179783e983f45317c9c118d92975bced7"
+GFIT_POST = "a19978a7425f1712fd3530e7ca31839e6e1651a4aa6f8eb4bd33fde0013ff828"
+PPC = "041a2c91f3e3fa3efd0821ee4a9cf494b8ddc46a51e4b9035a1daf7881dd166e"
+GFIT = "f3e6a815a380c6a32eff4d433e52b8d98ae15606641da5cecf72ec6ca1d4e540"
+GFITPCA = "94055712308163f627a636b287f7124ef34edcbc836c0b413807503a05f7c579"
+# (argv, SHA-256 of stdout without --out, SHA-256 of each file --out writes but the manifest)
 GOLDEN_STDOUT = [
     (("simulate", "--model", "bottleneck", "--stats", "sfs", "--n", "40", "--seed", "2"),
-     "f45df64f725fb04b17964b68603c55f4d217dcaf578ba41930dd8e13e3624ac2"),
+     SIM_BOTTLENECK,
+     {"table.tsv": SIM_BOTTLENECK,
+      "simulate.json": "12954883a9fa8e1af6f63e8023312b2eb6ec5e8fae0546c991e99a75d0d48130"}),
     (("simulate", "--model", "expansion", "--stats", "pi-tajima", "--n", "40", "--seed", "3"),
-     "64ddcc75e0b0f6b408f30762c2c4c2661760a7c1be711b2d2fce916b41fd6e30"),
+     SIM_EXPANSION,
+     {"table.tsv": SIM_EXPANSION,
+      "simulate.json": "0c06a567e7fa3d551de10729ddb67987a684d5c1ddc4666f0fd71ce863fee9fd"}),
     (("simulate", "--model", "constant", "--n", "40", "--seed", "4"),
-     "711b14bcec81238cbcc6090064ec7bb4f59c24db22b6a013c01918f53c69fe69"),
+     SIM_CONSTANT,
+     {"table.tsv": SIM_CONSTANT,
+      "simulate.json": "84b36240dbb8401c0767139d1407cc61000bfffdd594de36153fee52ef358b90"}),
     (("study", "calibrate", "--null", "constant", "--n-sims", "60", "--n-datasets", "6",
       "--M", "10", "--rate", "0.1", "--seed", "5"),
-     "ee44f4e3eda07a316ce15ca0bcd7a6271f12b28f9af0490192dbe76ce0bcfecb"),
+     STUDY_CALIBRATE,
+     {"study.json": STUDY_CALIBRATE,
+      "pvalue_histogram.tsv": "6ec13c74c0dfc61c97ff96a9f1b1d3b7845c716f1748088e4a5bf2301cb3613f"}),
     (("study", "power", "--null", "bottleneck", "--truth", "expansion", "--stats", "sfs",
       "--n-sims", "60", "--n-datasets", "6", "--M", "10", "--rate", "0.1", "--seed", "6"),
-     "fc9342a58cb0524acf2158905014d7d7c3f3814e5668e375dfaa2f69efef12f5"),
+     STUDY_PRIOR,
+     {"study.json": STUDY_PRIOR,
+      "pvalue_histogram.tsv": "629d65e1105e3ed913245e428e9566502e9181139840245496d7b718e25b8798"}),
     (("study", "power", "--null", "expansion", "--truth", "bottleneck", "--stat", "post",
       "--n-sims", "100", "--n-datasets", "4", "--M", "6", "--n-prime", "10", "--rate", "0.1",
       "--seed", "7"),
-     "df4e20dfe67cba6182dfdd57e88edee179783e983f45317c9c118d92975bced7"),
+     STUDY_POST,
+     {"study.json": STUDY_POST,
+      "pvalue_histogram.tsv": "d331f8b2ef8914f1dcaaf715d0e8116f450d85eb3241cabb20d17d78bb80a6af"}),
     (("gfit-post", *BOTTLENECK, "--model", "bottleneck", "--rate", "0.05", "--M", "20",
       "--n-prime", "20", "--seed", "10"),
-     "a19978a7425f1712fd3530e7ca31839e6e1651a4aa6f8eb4bd33fde0013ff828"),
+     GFIT_POST,
+     {"gfit_post.json": GFIT_POST}),
     (("ppc", *BOTTLENECK, "--model", "bottleneck", "--rate", "0.05", "--n-prime", "30",
       "--seed", "11"),
-     "041a2c91f3e3fa3efd0821ee4a9cf494b8ddc46a51e4b9035a1daf7881dd166e"),
+     PPC,
+     {"ppc.json": PPC,
+      "ppc_histogram.tsv": "710cf35c5e32999e2b2fe9112d6a0ab26855cca2909e56f96371e46b3da8930b"}),
     (("gfit", *BOTTLENECK, "--rate", "0.05", "--M", "100", "--seed", "12"),
-     "f3e6a815a380c6a32eff4d433e52b8d98ae15606641da5cecf72ec6ca1d4e540"),
+     GFIT,
+     {"gfit.json": GFIT}),
+    (("gfitpca", *BOTTLENECK, "--coverage", "0.8"),
+     GFITPCA,
+     {"gfitpca.json": GFITPCA,
+      "scores.tsv": "3417fe01875355950df4d0225ebcfdcef5f7d522d1b78a17d6fd589ec03a6356",
+      "envelope.tsv": "1630ac39cb24cfddb67fe19030f04929be3a64e9ae73ab505f274af3efd5c40b"}),
+    (("simulate", "--model", "toy-gaussian", "--n", "200", "--seed", "1"),
+     SIM_TOY,
+     {"table.tsv": SIM_TOY,
+      "simulate.json": "a1971ced6516a3a0b7f77d2e8b6da6c9222e5b0f9060b338af98141bac4d949e"}),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT, ids=[
-    "simulate-bottleneck-sfs", "simulate-expansion", "simulate-constant", "study-calibrate",
-    "study-power-prior", "study-power-post", "gfit-post", "ppc", "gfit",
-])
-def test_stdout_matches_golden_digest(capsys, bottleneck_inputs, argv, digest):
-    code, out, err = run_cli(capsys, *[bottleneck_inputs.get(a, a) for a in argv])
+def _sha256(data) -> str:
+    return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
+
+
+def _run_with_out(capsys, argv, out_dir):
+    """One run with --out: (stdout, manifest bytes, {file name: bytes} of the other files)."""
+    code, out, err = run_cli(capsys, *argv, "--out", out_dir)
     assert code == 0, err
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    files = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    return out, files.pop("manifest.json"), files
+
+
+@pytest.mark.parametrize("argv, digest, files", GOLDEN_STDOUT, ids=[
+    "simulate-bottleneck-sfs", "simulate-expansion", "simulate-constant", "study-calibrate",
+    "study-power-prior", "study-power-post", "gfit-post", "ppc", "gfit", "gfitpca",
+    "simulate-toy-gaussian",
+])
+def test_stdout_matches_golden_digest(
+    capsys, tmp_path, bottleneck_inputs, argv, digest, files
+):
+    """Pins stdout and every --out file; two repeats, --threads 8 and rerun all agree."""
+    argv = [str(bottleneck_inputs.get(a, a)) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert _sha256(out) == digest
+
+    out_dir = tmp_path / "out"
+    runs = []
+    for extra in ((), (), ("--threads", "8")):
+        if out_dir.exists():
+            shutil.rmtree(out_dir)
+        runs.append(_run_with_out(capsys, [*argv, *extra], out_dir))
+    for stdout, _, written in runs:
+        assert {name: _sha256(data) for name, data in written.items()} == files
+        assert stdout == runs[0][0]
+    first, repeat, threaded = (json.loads(manifest) for _, manifest, _ in runs)
+    assert first == repeat
+    assert first.pop("argv") == [*argv, "--out", str(out_dir)]
+    assert threaded.pop("argv") == [*argv, "--threads", "8", "--out", str(out_dir)]
+    assert (first["flags"].pop("threads"), threaded["flags"].pop("threads")) == (1, 8)
+    assert first == threaded
+
+    for name in files:
+        (out_dir / name).unlink()
+    manifest_path = out_dir / "manifest.json"
+    code, stdout, err = run_cli(capsys, "rerun", manifest_path)
+    assert code == 0, err
+    assert (stdout, manifest_path.read_bytes()) == runs[2][:2]
+    assert {name: (out_dir / name).read_bytes() for name in files} == runs[2][2]
 
 
 def test_study_power_requires_truth(capsys):

@@ -436,7 +436,7 @@ def test_gfit_post_deterministic_and_thread_invariant():
     obs = make_observed(table, [5.0])
     a = gfit_post(table, obs, 0.5, sim, 4, 6, seed=1)
     b = gfit_post(table, obs, 0.5, sim, 4, 6, seed=1)
-    assert a.to_json() == b.to_json()
+    assert a.to_dict() == b.to_dict()
 
 
 class CountingSimulator(NoisySimulator):
