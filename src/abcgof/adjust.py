@@ -65,6 +65,15 @@ def kernel_weights(distances: np.ndarray) -> np.ndarray:
     return w
 
 
+def require_regression_rows(n_accepted: int, n_params: int, n_stats: int) -> None:
+    """Refuse fewer accepted rows than the regression needs: p + k + 2."""
+    if n_accepted < n_params + n_stats + 2:
+        raise ValueError(
+            f"regression adjustment needs at least {n_params + n_stats + 2} accepted rows, "
+            f"got {n_accepted}"
+        )
+
+
 def linear_adjust_matrix(
     theta: np.ndarray,
     std_stats: np.ndarray,
@@ -85,10 +94,7 @@ def linear_adjust_matrix(
     d = np.asarray(distances, dtype=float)
     n_acc, p = theta.shape
     k = std_stats.shape[1]
-    if n_acc < p + k + 2:
-        raise ValueError(
-            f"regression adjustment needs at least {p + k + 2} accepted rows, got {n_acc}"
-        )
+    require_regression_rows(n_acc, p, k)
 
     w = kernel_weights(d)
     weights = w / w.sum()

@@ -67,7 +67,7 @@ def _add_common(parser, *, table=False, observed=False, model=False):
         "--threads",
         type=_positive_int,
         default=1,
-        help="recorded in the manifest; all work runs in one thread",
+        help="recorded in the manifest; no effect (the work uses every available CPU)",
     )
     parser.add_argument("--out", type=Path, default=None, help="directory for output files")
     if table:
@@ -322,14 +322,17 @@ def _rerun(path: Path) -> int:
     if not isinstance(cwd, str):
         raise DataError(f"{path} records a cwd that is not a path: {cwd!r}")
     cwd = Path(cwd)
-    for typed, recorded in inputs.items():
-        current = _sha256(cwd / typed)
-        if current != recorded:
-            raise DataError(f"input {typed} changed: sha256 {current}, manifest has {recorded}")
     argv = [str(a) for a in argv]
     args = build_parser().parse_args(argv)
     if args.subcommand == "rerun":
         raise DataError(f"{path} records a rerun, not a run to replay")
+    for name in ("table", "observed"):
+        if hasattr(args, name) and str(getattr(args, name)) not in inputs:
+            raise DataError(f"{path} records no digest for --{name} {getattr(args, name)}")
+    for typed, recorded in inputs.items():
+        current = _sha256(cwd / typed)
+        if current != recorded:
+            raise DataError(f"input {typed} changed: sha256 {current}, manifest has {recorded}")
     return _run(args, argv, cwd)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjust import adjusted_posterior, sample_posterior
+from .adjust import adjusted_posterior, require_regression_rows, sample_posterior
 from .core import (
     DataError,
     ObservedStats,
@@ -32,7 +32,7 @@ from .core import (
     scaled_distances,
 )
 from .parallel import children, parallel_map, seeded_map
-from .rejection import reject
+from .rejection import accepted_count, reject
 
 STATISTIC_KINDS = ("prior", "post")
 
@@ -75,6 +75,9 @@ class SimulationError(RuntimeError):
         self.row = row
         where = "" if row is None else f" at reference-table row {row}"
         super().__init__(f"simulator failed{where} for parameters {self.theta.tolist()}: {cause}")
+
+    def __reduce__(self):  # a worker process sends it to the parent pickled
+        return type(self), (self.theta, self.cause, self.row)
 
 
 def simulate_checked(
@@ -297,6 +300,11 @@ def null_distribution_post(
     """
     rows_seed, replicates_seed = children(seed, 2)
     rows = _pseudo_observed_rows(table.n, M, rows_seed)
+    # Every leave-one-out rejection keeps this many rows: refuse too few for
+    # the regression now, not after the M x n' simulations.
+    require_regression_rows(
+        min(accepted_count(rate, table.n), table.n - 1), table.n_params, scaling.kept.size
+    )
 
     def one(j, rng):
         row = int(rows[j])

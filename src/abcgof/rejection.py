@@ -39,6 +39,8 @@ class AcceptanceSet:
 
 def accepted_count(rate: float, n_effective: int) -> int:
     """Number of accepted rows: floor(rate * n), clamped to at least 1."""
+    if not 0 < rate <= 1:
+        raise ValueError(f"acceptance rate must be in (0, 1], got {rate}")
     count = math.floor(rate * n_effective)
     if count < 1:
         warnings.warn(
@@ -69,8 +71,7 @@ def reject(
     Selection is a partial (k-smallest) selection rather than a full sort;
     tables with millions of rows stay cheap.
     """
-    if not 0 < rate <= 1:
-        raise ValueError(f"acceptance rate must be in (0, 1], got {rate}")
+    count = accepted_count(rate, table.n)
     vec = observed_vector(observed, table)
     dist = scaled_distances(table.stats, vec, scaling)
 
@@ -84,7 +85,7 @@ def reject(
     if n_effective == 0:
         raise DataError("empty effective table")
 
-    keep = min(accepted_count(rate, table.n), n_effective)
+    keep = min(count, n_effective)
     boundary = np.partition(dist, keep - 1)[keep - 1]
     below = np.flatnonzero(dist < boundary)
     ties = np.flatnonzero(dist == boundary)

@@ -26,6 +26,30 @@ def make_table(stats, params=None, stat_names=None, param_names=None) -> Referen
     )
 
 
+class CallLog:
+    """A call counter kept in a file, one line per call.
+
+    Monte Carlo loops run in forked worker processes, whose memory the test
+    never sees; lines appended to a file count calls made there too.
+    """
+
+    def __init__(self, path):
+        self.path = path
+
+    def record(self, entry) -> None:
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(f"{entry}\n")
+
+    def entries(self) -> list:
+        return self.path.read_text(encoding="utf-8").splitlines() if self.path.exists() else []
+
+    def __len__(self) -> int:
+        return len(self.entries())
+
+    def __eq__(self, other) -> bool:
+        return self.entries() == other
+
+
 def make_observed(table: ReferenceTable, values) -> ObservedStats:
     return ObservedStats(stat_names=table.stat_names, values=np.asarray(values, dtype=float))
 

@@ -17,6 +17,8 @@ import abcgof
 from abcgof.cli import main
 from abcgof.models import CoalescentSimulator, ToySimulator
 
+from conftest import CallLog
+
 @pytest.fixture
 def table_and_observed(tmp_path):
     rng = np.random.default_rng(99)
@@ -80,12 +82,12 @@ def test_threads_below_one_is_usage_error(capsys, threads):
 
 
 @pytest.fixture
-def simulate_calls(monkeypatch):
-    """Records one entry per simulator call made by any built-in model."""
-    calls = []
+def simulate_calls(monkeypatch, tmp_path):
+    """Records one entry per simulator call made by any built-in model, in any process."""
+    calls = CallLog(tmp_path / "simulate_calls")
     for cls in (ToySimulator, CoalescentSimulator):
         def counting(self, theta, rng, real=cls.simulate):
-            calls.append(self.name)
+            calls.record(self.name)
             return real(self, theta, rng)
 
         monkeypatch.setattr(cls, "simulate", counting)
@@ -124,6 +126,16 @@ def test_the_simulate_counter_sees_a_valid_study(capsys, simulate_calls):
     code, _, err = run_cli(capsys, *STUDY, "--n-sims", "40")
     assert code == 0, err
     assert len(simulate_calls) == 40 + 4  # table rows + datasets
+
+
+def test_study_post_with_too_few_accepted_rows_fails_before_the_null(capsys, simulate_calls):
+    code, out, err = run_cli(
+        capsys, "study", "calibrate", "--null", "bottleneck", "--stat", "post",
+        "--n-sims", "60", "--n-datasets", "4", "--M", "6", "--n-prime", "10", "--rate", "0.1",
+    )
+    assert (code, out) == (2, "")
+    assert "E_DATA: regression adjustment needs at least 9 accepted rows, got 6" in err
+    assert len(simulate_calls) == 60  # the table rows; no null replicate
 
 
 def test_gfit_post_observed_name_mismatch_fails_before_any_simulation(
@@ -285,6 +297,32 @@ def test_rerun_rejects_non_manifest(capsys, tmp_path):
     path.write_text("{}")
     code, _, err = run_cli(capsys, "rerun", path)
     assert code == 2 and "E_DATA" in err
+
+
+@pytest.mark.parametrize("drop", ["table", "observed"])
+def test_rerun_refuses_a_manifest_without_an_input_digest(
+    capsys, tmp_path, monkeypatch, table_and_observed, drop
+):
+    table, observed = table_and_observed
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(
+        capsys, "gfit", "--table", table.name, "--observed", observed.name,
+        "--M", "60", "--seed", "12", "--out", "run",
+    )
+    assert code == 0
+    manifest_path = tmp_path / "run" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["inputs"][dict(table=table, observed=observed)[drop].name]
+    manifest_path.write_text(json.dumps(manifest))
+    sim = abcgof.get_simulator("toy-gaussian")
+    abcgof.save_reference_table(abcgof.build_reference_table(sim, 400, 18), table)
+    before = {path.name: path.read_bytes() for path in (tmp_path / "run").iterdir()}
+
+    code, out, err = run_cli(capsys, "rerun", manifest_path)
+    assert (code, out) == (2, "")
+    assert err.startswith("abcgof: E_DATA: ") and err.count("\n") == 1, err
+    assert f"records no digest for --{drop}" in err
+    assert {path.name: path.read_bytes() for path in (tmp_path / "run").iterdir()} == before
 
 
 @pytest.mark.parametrize("manifest", [

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from abcgof.core import ScalingVector, scaled_distances
 from abcgof.gof import d_post, d_prior, observed_d_post
 from abcgof.parallel import children
 
-from conftest import make_observed, make_table
+from conftest import CallLog, make_observed, make_table
 
 
 # --- small simulators for exercising the posterior pipeline ----------------------
@@ -273,6 +274,14 @@ def test_table_build_failure_names_row_and_draw(failure):
     assert f"row {row} " in str(info.value)
 
 
+def test_simulation_error_survives_pickling():
+    error = SimulationError([1.5, 2.0], ValueError("non-finite simulated statistics"), row=3)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is SimulationError and str(copy) == str(error)
+    assert copy.theta.tolist() == [1.5, 2.0] and copy.row == 3
+    assert type(copy.cause) is ValueError and str(copy.cause) == str(error.cause)
+
+
 def test_nan_replicate_is_a_simulation_error_naming_the_draw():
     table = echo_table()
     scaling = fit_scaling(table)
@@ -440,17 +449,21 @@ def test_gfit_post_deterministic_and_thread_invariant():
 
 
 class CountingSimulator(NoisySimulator):
-    def __init__(self):
-        self.calls = 0
+    def __init__(self, log_path):
+        self.log = CallLog(log_path)
+
+    @property
+    def calls(self) -> int:
+        return len(self.log)
 
     def simulate(self, theta, rng):
-        self.calls += 1
+        self.log.record(self.name)
         return super().simulate(theta, rng)
 
 
-def test_gfit_post_name_mismatch_fails_before_any_simulation():
+def test_gfit_post_name_mismatch_fails_before_any_simulation(tmp_path):
     table = echo_table(16)
-    sim = CountingSimulator()
+    sim = CountingSimulator(tmp_path / "calls")
     observed = ObservedStats(stat_names=["other"], values=[5.0])
     with pytest.raises(DataError, match="missing from observed: s0"):
         gfit_post(table, observed, 0.5, sim, n_prime=4, M=6, seed=1)

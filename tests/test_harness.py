@@ -17,6 +17,8 @@ from abcgof import (
 from abcgof.gof import Simulator, d_post, d_prior, p_value
 from abcgof.harness import one_sided_two_proportion_p
 
+from conftest import CallLog
+
 
 def tiny_config(**overrides):
     settings = dict(
@@ -144,14 +146,18 @@ class CountingSimulator(Simulator):
     param_names = ("level",)
     stat_names = ("s0",)
 
-    def __init__(self):
-        self.calls = 0
+    def __init__(self, log_path):
+        self.log = CallLog(log_path)
+
+    @property
+    def calls(self) -> int:
+        return len(self.log)
 
     def draw_prior(self, rng):
         return rng.uniform(0, 10, size=1)
 
     def simulate(self, theta, rng):
-        self.calls += 1
+        self.log.record(self.name)
         return np.array([float(theta[0]) + rng.standard_normal()])
 
 
@@ -162,15 +168,17 @@ class CountingSimulator(Simulator):
     ({"M": 401}, DataError, "more replicates than simulations"),
     ({"M": 401, "statistic": "post"}, DataError, "more replicates than simulations"),
 ], ids=["rate-0", "rate-above-1", "rate-nan", "M-above-n-sims", "post-M-above-n-sims"])
-def test_config_refuses_bad_rate_and_M_before_any_simulation(overrides, error, message):
-    sim = CountingSimulator()
+def test_config_refuses_bad_rate_and_M_before_any_simulation(
+    tmp_path, overrides, error, message
+):
+    sim = CountingSimulator(tmp_path / "calls")
     with pytest.raises(error, match=message):
         run_calibration(tiny_config(null_model=sim, **overrides))
     assert sim.calls == 0
 
 
-def test_config_accepts_the_boundary_rate_and_M():
-    sim = CountingSimulator()
+def test_config_accepts_the_boundary_rate_and_M(tmp_path):
+    sim = CountingSimulator(tmp_path / "calls")
     result = run_calibration(tiny_config(null_model=sim, acceptance_rate=1.0, M=400))
     assert result.p_values.size == 40
     assert sim.calls == 400 + 40  # table rows + datasets
