@@ -61,6 +61,14 @@ class Simulator(abc.ABC):
     def simulate(self, theta, rng: np.random.Generator) -> np.ndarray:
         """Simulate one summary-statistic vector for the given parameters."""
 
+    def simulate_rows(self, thetas, rng: np.random.Generator) -> np.ndarray:
+        """One statistic vector per row of `thetas`, simulated in turn on `rng`.
+
+        An override must give the same bytes, and leave `rng` in the same
+        state, as this default: :meth:`simulate` called row by row.
+        """
+        return np.array([self.simulate(theta, rng) for theta in thetas], dtype=float)
+
     def config(self) -> dict:
         """A JSON-serializable description used in manifests and result echoes."""
         return {"name": self.name}
@@ -215,7 +223,13 @@ def posterior_replicates(
     rng: np.random.Generator,
     exclude: int | None = None,
 ) -> np.ndarray:
-    """Simulate n' statistic vectors from the adjusted posterior for `observed`."""
+    """Simulate n' statistic vectors from the adjusted posterior for `observed`.
+
+    The n' draws are simulated by one :meth:`Simulator.simulate_rows` call.
+    If it raises, or returns the wrong shape or a non-finite row, the draws
+    are simulated again one by one from the same generator state, and the
+    first failing draw raises :class:`SimulationError`.
+    """
     if n_prime < 1:
         raise ValueError(f"n_prime must be >= 1, got {n_prime}")
     accepted = reject(table, observed, scaling, rate, exclude=exclude)
@@ -223,9 +237,24 @@ def posterior_replicates(
         table, accepted, observed, scaling, transforms=simulator.param_transforms
     )
     draws = sample_posterior(posterior, n_prime, rng)
+    state = rng.bit_generator.state
+    try:
+        replicates = np.asarray(simulator.simulate_rows(draws, rng), dtype=float)
+        if replicates.shape == (n_prime, table.n_stats) and np.isfinite(replicates).all():
+            return replicates
+    except Exception:  # noqa: BLE001 - the checked loop below reports it
+        pass
+    # The loop is the oracle: rerun from the same state, it raises the error
+    # of the first failing draw.
+    rng.bit_generator.state = state
     replicates = np.empty((n_prime, table.n_stats))
     for i, theta in enumerate(draws):
-        replicates[i] = simulate_checked(simulator, theta, rng)
+        stats = simulate_checked(simulator, theta, rng)
+        if stats.shape != (table.n_stats,):
+            raise SimulationError(theta, ValueError(
+                f"the simulator returned {stats.size} statistics; the table has {table.n_stats}"
+            ))
+        replicates[i] = stats
     return replicates
 
 

@@ -11,6 +11,7 @@ streams are laid out in :mod:`abcgof.parallel`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +79,26 @@ def _resolve(model, options: dict) -> Simulator:
     return get_simulator(str(model), **options)
 
 
+def _require_regression_rows_before_the_table(config: PowerStudyConfig, null_sim: Simulator):
+    """Refuse a posterior study whose acceptance count is too small for any table.
+
+    The regression needs p + k + 2 accepted rows, and k, the statistics the
+    table's MAD scaling keeps, is at least 1 (fit_scaling refuses a table with
+    none); the exact check follows once the table is built.
+    """
+    p = len(null_sim.param_names)
+    accepted = min(math.floor(config.acceptance_rate * config.n_sims), config.n_sims - 1)
+    if accepted < p + 3:
+        raise ValueError(
+            f"regression adjustment needs at least p + k + 2 accepted rows, {p + 3} or more "
+            f"with p = {p} parameters and k >= 1 statistics; rate {config.acceptance_rate} "
+            f"of {config.n_sims} simulations accepts {accepted}"
+        )
+
+
 def _study(config: PowerStudyConfig, null_sim: Simulator, alt_sim: Simulator) -> PowerStudyResult:
+    if config.statistic == "post":
+        _require_regression_rows_before_the_table(config, null_sim)
     table_seed, null_seed, data_seed = children(config.master_seed, 3)
     table = build_reference_table(null_sim, config.n_sims, table_seed)
     nulls, statistic = goodness_of_fit(

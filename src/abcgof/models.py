@@ -37,6 +37,9 @@ class ToySimulator(Simulator):
     def simulate(self, theta, rng):
         return toy.simulate(self.spec, theta, rng)
 
+    def simulate_rows(self, thetas, rng):
+        return toy.simulate_rows(self.spec, thetas, rng)
+
     def config(self):
         return {
             "name": self.name,

@@ -8,6 +8,9 @@ block but the first, runs the first block itself and collects the workers'
 results, in order, through pipes. The result is the same bytes for any
 number of workers. It runs serially in the calling process when there is one
 CPU, when the platform has no ``os.fork`` and inside a task of another map.
+A worker records the warnings its block raises, and the parent issues them
+again, in task order, so that its filters, its record of warnings already
+shown and its ``catch_warnings`` see what the serial loop gives.
 
 All streams come from one master seed (an int or a ``SeedSequence``) through
 :func:`children`, which never mutates its argument, so the same seed always
@@ -128,7 +131,8 @@ def _forked_map(fn, root, blocks) -> list:
                     f"the worker for tasks {lo} to {hi - 1} died without sending its "
                     f"results ({_describe(status)})"
                 )
-            ok, value = pickle.loads(data)
+            ok, value, shown = pickle.loads(data)
+            _reissue(shown)
             if not ok:
                 raise value
             results.extend(_unpack(*value))
@@ -163,18 +167,21 @@ def _fork() -> int:
 
 
 def _worker(fn, root, indices, write_fd) -> None:
-    """Run one block in a forked child, send (ok, results or exception), and exit.
+    """Run one block in a forked child, send (ok, results or exception, warnings), and exit.
 
-    The child leaves by ``os._exit``, so the stdio buffers and ``atexit``
-    handlers it inherited never run twice, and whatever happens it never
-    returns into the parent's code.
+    The warnings are those the child's filters let through; the parent issues
+    them again (:func:`_reissue`). The child leaves by ``os._exit``, so the
+    stdio buffers and ``atexit`` handlers it inherited never run twice, and
+    whatever happens it never returns into the parent's code.
     """
     status = 1
     try:
-        try:
-            data = _encode(True, _pack(_run_block(fn, root, indices)))
-        except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
-            data = _encode(False, exc)
+        with warnings.catch_warnings(record=True) as shown:
+            try:
+                ok, value = True, _pack(_run_block(fn, root, indices))
+            except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
+                ok, value = False, exc
+        data = _encode(ok, value, [(w.message, w.filename, w.lineno) for w in shown])
         with open(write_fd, "wb") as pipe:
             pipe.write(data)
         status = 0
@@ -182,17 +189,41 @@ def _worker(fn, root, indices, write_fd) -> None:
         os._exit(status)
 
 
-def _encode(ok: bool, value) -> bytes:
-    """Pickle (ok, value); what cannot make the round trip becomes a RuntimeError."""
+def _encode(ok: bool, value, shown: list) -> bytes:
+    """Pickle (ok, value, shown); what cannot make the round trip becomes a RuntimeError."""
     try:
-        data = pickle.dumps((ok, value), protocol=pickle.HIGHEST_PROTOCOL)
-        if not ok:
-            pickle.loads(data)  # an exception may pickle but fail to rebuild
+        data = pickle.dumps((ok, value, shown), protocol=pickle.HIGHEST_PROTOCOL)
+        if not ok or shown:
+            pickle.loads(data)  # an exception or a warning may pickle but fail to rebuild
         return data
     except Exception as exc:  # noqa: BLE001 - report it to the parent instead
-        what = f"{type(value).__name__}: {value}" if not ok else "its results"
+        what = f"{type(value).__name__}: {value}" if not ok else "its results or warnings"
         message = f"a worker could not send {what} ({type(exc).__name__}: {exc})"
-        return pickle.dumps((False, RuntimeError(message)))
+        return pickle.dumps((False, RuntimeError(message), []))
+
+
+def _reissue(shown: list) -> None:
+    """Issue a worker's warnings in this process, as the code that raised them would.
+
+    Each goes through this process's filters and the record of warnings
+    already shown of the module it was raised in, so a warning shown once per
+    location is shown once, whichever process raised it. Code with no source
+    file among the imported modules (``python -c``, say) has no such record
+    here, so its warnings are shown once per process that raised them.
+    """
+    if not shown:
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, filename, lineno in shown:
+        module = modules.get(filename)
+        if module is None:
+            warnings.warn_explicit(message, type(message), filename, lineno)
+            continue
+        namespace = vars(module)
+        warnings.warn_explicit(
+            message, type(message), filename, lineno, module=module.__name__,
+            registry=namespace.setdefault("__warningregistry__", {}), module_globals=namespace,
+        )
 
 
 def _pack(results: list):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -57,3 +59,14 @@ def make_observed(table: ReferenceTable, values) -> ObservedStats:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, such as a seeded_map worker."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"a child process was left behind ({f'pid {pid}' if pid else 'still running'})")

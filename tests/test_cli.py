@@ -83,7 +83,7 @@ def test_threads_below_one_is_usage_error(capsys, threads):
 
 @pytest.fixture
 def simulate_calls(monkeypatch, tmp_path):
-    """Records one entry per simulator call made by any built-in model, in any process."""
+    """Records one entry per row simulated by any built-in model, in any process."""
     calls = CallLog(tmp_path / "simulate_calls")
     for cls in (ToySimulator, CoalescentSimulator):
         def counting(self, theta, rng, real=cls.simulate):
@@ -91,6 +91,13 @@ def simulate_calls(monkeypatch, tmp_path):
             return real(self, theta, rng)
 
         monkeypatch.setattr(cls, "simulate", counting)
+
+    def counting_rows(self, thetas, rng, real=ToySimulator.simulate_rows):
+        for _ in thetas:
+            calls.record(self.name)
+        return real(self, thetas, rng)
+
+    monkeypatch.setattr(ToySimulator, "simulate_rows", counting_rows)
     return calls
 
 
@@ -128,14 +135,28 @@ def test_the_simulate_counter_sees_a_valid_study(capsys, simulate_calls):
     assert len(simulate_calls) == 40 + 4  # table rows + datasets
 
 
+POST_STUDY = ("study", "calibrate", "--null", "bottleneck", "--stat", "post",
+              "--n-datasets", "4", "--M", "6", "--n-prime", "10", "--rate", "0.1")
+
+
 def test_study_post_with_too_few_accepted_rows_fails_before_the_null(capsys, simulate_calls):
-    code, out, err = run_cli(
-        capsys, "study", "calibrate", "--null", "bottleneck", "--stat", "post",
-        "--n-sims", "60", "--n-datasets", "4", "--M", "6", "--n-prime", "10", "--rate", "0.1",
-    )
+    # p = 4 parameters: 6 accepted rows are too few for any k >= 1 statistics
+    code, out, err = run_cli(capsys, *POST_STUDY, "--n-sims", "60")
     assert (code, out) == (2, "")
-    assert "E_DATA: regression adjustment needs at least 9 accepted rows, got 6" in err
-    assert len(simulate_calls) == 60  # the table rows; no null replicate
+    assert ("E_DATA: regression adjustment needs at least p + k + 2 accepted rows, 7 or more "
+            "with p = 4 parameters and k >= 1 statistics; rate 0.1 of 60 simulations "
+            "accepts 6") in err
+    assert simulate_calls == []  # refused before the table
+
+
+def test_study_post_fails_after_the_table_when_its_statistics_need_more_rows(
+    capsys, simulate_calls
+):
+    # 8 accepted rows pass the p + 3 bound; the table's k = 3 statistics need 9
+    code, out, err = run_cli(capsys, *POST_STUDY, "--n-sims", "80")
+    assert (code, out) == (2, "")
+    assert "E_DATA: regression adjustment needs at least 9 accepted rows, got 8" in err
+    assert len(simulate_calls) == 80  # the table rows; no null replicate
 
 
 def test_gfit_post_observed_name_mismatch_fails_before_any_simulation(

@@ -1,8 +1,11 @@
+import functools
 import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcgof import (
     DataError,
@@ -21,9 +24,11 @@ from abcgof import (
     posterior_replicates,
     replicate_scaling,
 )
-from abcgof import gof
+from abcgof import adjusted_posterior, get_simulator, gof, reject, sample_posterior
 from abcgof.core import ScalingVector, scaled_distances
-from abcgof.gof import d_post, d_prior, observed_d_post
+from abcgof.gof import d_post, d_prior, observed_d_post, simulate_checked
+from abcgof.models import ToySimulator
+from abcgof.toy import FAMILIES
 from abcgof.parallel import children
 
 from conftest import CallLog, make_observed, make_table
@@ -516,3 +521,135 @@ def test_a_non_int_seed_fails_before_the_null_is_computed(monkeypatch, kind):
                 gfit(table, obs, 0.5, 6, seed)
             else:
                 gfit_post(table, obs, 0.5, NoisySimulator(), 4, 6, seed)
+
+
+# --- batched posterior replicates against the per-row loop ---------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def toy_table(family):
+    return build_reference_table(get_simulator(f"toy-{family}"), 300, 8)
+
+
+def posterior_draws(table, observed, scaling, rate, simulator, n_prime, rng):
+    """The n' parameter draws posterior_replicates simulates, drawn on `rng`."""
+    accepted = reject(table, observed, scaling, rate)
+    posterior = adjusted_posterior(
+        table, accepted, observed, scaling, transforms=simulator.param_transforms
+    )
+    return sample_posterior(posterior, n_prime, rng)
+
+
+def replicates_by_the_loop(table, observed, scaling, rate, simulator, n_prime, rng):
+    """The oracle: posterior draws simulated one checked call at a time."""
+    draws = posterior_draws(table, observed, scaling, rate, simulator, n_prime, rng)
+    return np.array([simulate_checked(simulator, theta, rng) for theta in draws])
+
+
+class BatchedOnly(ToySimulator):
+    """A toy simulator whose per-row path fails: only simulate_rows can succeed."""
+
+    def simulate(self, theta, rng):
+        raise AssertionError("the per-row loop ran")
+
+
+@given(
+    family=st.sampled_from(FAMILIES),
+    n_prime=st.integers(1, 200),
+    row=st.integers(0, 299),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_replicates_match_the_per_row_loop(family, n_prime, row, seed):
+    table = toy_table(family)
+    scaling = fit_scaling(table)
+    observed = table.stats[row]
+    batched_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batched = posterior_replicates(
+        table, observed, scaling, 0.05, BatchedOnly(family), n_prime, batched_rng
+    )
+    loop = replicates_by_the_loop(
+        table, observed, scaling, 0.05, ToySimulator(family), n_prime, loop_rng
+    )
+    assert batched.tobytes() == loop.tobytes()
+    assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+class ToyFailingAt(ToySimulator):
+    """toy-gaussian that fails (raises or gives a NaN) on one draw, batched or not."""
+
+    def __init__(self, bad, failure):
+        super().__init__("gaussian")
+        self.bad = tuple(bad)
+        self.failure = failure
+
+    def check(self, theta, stats):
+        if tuple(theta) == self.bad:
+            if self.failure == "raise":
+                raise RuntimeError("bad draw")
+            stats[2] = np.nan
+
+    def simulate(self, theta, rng):
+        stats = super().simulate(theta, rng)
+        self.check(theta, stats)
+        return stats
+
+    def simulate_rows(self, thetas, rng):
+        rows = super().simulate_rows(thetas, rng)
+        for theta, stats in zip(thetas, rows):
+            self.check(theta, stats)
+        return rows
+
+
+@pytest.mark.parametrize("failure", ["raise", "nan"])
+@pytest.mark.parametrize("position", [0, 7, 14], ids=["first", "middle", "last"])
+def test_a_failing_replicate_raises_the_loops_error(failure, position):
+    table = toy_table("gaussian")
+    scaling = fit_scaling(table)
+    observed = table.stats[5]
+    draws = posterior_draws(
+        table, observed, scaling, 0.2, ToySimulator("gaussian"), 15, np.random.default_rng(4)
+    )
+    assert len(np.unique(draws, axis=0)) == 15  # so only that position fails
+    sim = ToyFailingAt(draws[position], failure)
+
+    def error(replicates):
+        rng = np.random.default_rng(4)
+        with pytest.raises(SimulationError) as info:
+            replicates(table, observed, scaling, 0.2, sim, 15, rng)
+        err = info.value
+        return str(err), err.theta.tobytes(), err.row, type(err.cause), rng.bit_generator.state
+
+    assert error(posterior_replicates) == error(replicates_by_the_loop)
+    assert error(posterior_replicates)[1] == draws[position].tobytes()
+
+
+class FirstTwoMoments(ToySimulator):
+    """toy-gaussian returning 2 statistics where its table has 4."""
+
+    def simulate(self, theta, rng):
+        return super().simulate(theta, rng)[:2]
+
+    def simulate_rows(self, thetas, rng):
+        return super().simulate_rows(thetas, rng)[:, :2]
+
+
+class FirstTwoMomentsUnbatched(FirstTwoMoments):
+    simulate_rows = Simulator.simulate_rows
+
+
+@pytest.mark.parametrize("sim_class", [FirstTwoMoments, FirstTwoMomentsUnbatched],
+                         ids=["batched", "loop"])
+def test_a_wrong_length_replicate_names_the_draw_and_both_lengths(sim_class):
+    table = toy_table("gaussian")
+    scaling = fit_scaling(table)
+    sim = sim_class("gaussian")
+    observed = table.stats[5]
+    draws = posterior_draws(table, observed, scaling, 0.05, sim, 6, np.random.default_rng(4))
+    with pytest.raises(SimulationError) as info:
+        posterior_replicates(table, observed, scaling, 0.05, sim, 6, np.random.default_rng(4))
+    assert str(info.value) == (
+        f"simulator failed for parameters {draws[0].tolist()}: "
+        "the simulator returned 2 statistics; the table has 4"
+    )
+    assert info.value.row is None and info.value.theta.tobytes() == draws[0].tobytes()

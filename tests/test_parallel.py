@@ -5,11 +5,14 @@ and to 2 and 3 (forked workers), and requires the same bytes, the same
 exception and no child process left behind.
 """
 
+import inspect
 import os
 import signal
+import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,8 +44,8 @@ def cpus(monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def no_process_left_and_no_hang():
-    """Fail a test that hangs for a minute or leaves a child process behind."""
+def no_hang():
+    """Fail a test that hangs for a minute (conftest fails one that leaves a child)."""
     def hung(signum, frame):
         raise TimeoutError("seeded_map hung")
 
@@ -53,8 +56,6 @@ def no_process_left_and_no_hang():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def each_worker_count(cpus, compute):
@@ -276,6 +277,72 @@ def test_a_fork_keeps_the_record_of_warnings_already_shown(cpus):
         seeded_map(task, 1, 4)
     # Silencing the 3.12 fork warning changes the filters, which resets the record.
     assert len(caught) == (1 if sys.version_info < (3, 12) else 2)
+
+
+def warn_by_group(i, rng):
+    """Tasks 0-2 warn "group 0", 3-5 "group 1" and so on; odd tasks warn twice."""
+    warnings.warn(f"group {i // 3}", UserWarning)
+    if i % 2:
+        warnings.warn("odd task", RuntimeWarning)
+    return i
+
+
+@pytest.mark.parametrize("action, count", [("default", 4), ("always", 13)])
+def test_worker_warnings_reach_the_parent_in_task_order(cpus, action, count):
+    # With 2 workers "group 1" first shows in the parent's block, with 3 in a
+    # worker's; either way it shows once under the default filter.
+    def record():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert seeded_map(warn_by_group, 1, 9) == list(range(9))
+        return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+    serial, *forked = each_worker_count(cpus, record)
+    assert len(serial) == count
+    assert forked == [serial, serial]
+
+
+def test_warnings_from_code_without_a_source_file_reach_the_parent(cpus):
+    namespace = {"warnings": warnings}
+    source = "def task(i, rng):\n    warnings.warn(f'task {i}')\n    return i\n"
+    exec(compile(source, "<generated>", "exec"), namespace)
+
+    def record():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            seeded_map(namespace["task"], 1, 6)
+        return [(str(w.message), w.filename, w.lineno) for w in caught]
+
+    serial, *forked = each_worker_count(cpus, record)
+    assert len(serial) == 6
+    assert forked == [serial, serial]
+
+
+WARNING_SCRIPT = f"""
+import sys, warnings
+from abcgof import parallel
+parallel._cpu_count = lambda: int(sys.argv[1])
+{inspect.getsource(warn_by_group)}
+parallel.seeded_map(warn_by_group, 1, 9)
+warn_by_group(4, None)  # already shown under the default filter, by whichever process
+"""
+
+
+@pytest.mark.parametrize("options, count", [((), 4), (("-W", "always"), 14)])
+def test_worker_warnings_print_on_stderr_as_the_serial_loop_prints_them(
+    tmp_path, options, count
+):
+    script = tmp_path / "warn.py"
+    script.write_text(WARNING_SCRIPT)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(parallel.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    stderr = [
+        subprocess.run([sys.executable, *options, str(script), str(workers)], env=env,
+                       capture_output=True, text=True, check=True).stderr
+        for workers in WORKERS
+    ]
+    assert stderr[0].count("Warning: ") == count
+    assert stderr[1:] == [stderr[0], stderr[0]]
 
 
 def test_without_fork_the_map_runs_serially(cpus, monkeypatch):

@@ -8,7 +8,14 @@ from scipy import stats as sps
 
 from abcgof.harness import PowerStudyConfig, run_power
 from abcgof.models import build_reference_table, get_simulator
-from abcgof.toy import ToyModelSpec, draw_prior, sample_moments, simulate
+from abcgof.toy import (
+    FAMILIES,
+    ToyModelSpec,
+    draw_prior,
+    sample_moments,
+    simulate,
+    simulate_rows,
+)
 
 
 def moments_oracle(values):
@@ -136,6 +143,35 @@ def test_moments_are_byte_identical_to_the_mean_formula(values):
 def test_moments_of_a_million_values_are_byte_identical_to_the_mean_formula():
     values = 1e4 + 3.0 * np.random.default_rng(31).standard_normal(1_000_000)
     assert sample_moments(values).tobytes() == moments_oracle(values).tobytes()
+
+
+@given(
+    family=st.sampled_from(FAMILIES),
+    n_rows=st.integers(1, 200),
+    variances=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=6),
+    sample_size=st.sampled_from([4, 50, 133]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_rows_match_the_per_row_loop_in_bytes_and_generator_state(
+    family, n_rows, variances, sample_size, seed
+):
+    # Variances from 1e-300 to 1e300 take the moments to 0, inf and nan.
+    spec = ToyModelSpec(family, sample_size)
+    locations = np.random.default_rng(seed).uniform(-10.0, 10.0, n_rows)
+    thetas = np.column_stack([locations, np.resize(variances, n_rows)])
+    loop_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        loop = np.array([simulate(spec, theta, loop_rng) for theta in thetas])
+        batch = simulate_rows(spec, thetas, batch_rng)
+    assert batch.tobytes() == loop.tobytes()
+    assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_batched_rows_refuse_the_first_nonpositive_variance():
+    thetas = [[0.0, 1.0], [0.0, -2.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match=r"^variance must be positive, got -2.0$"):
+        simulate_rows(ToyModelSpec("laplace"), thetas, np.random.default_rng(0))
 
 
 # SHA-256 of toy statistics at fixed seeds, recorded with the `np.mean`
