@@ -207,22 +207,28 @@ def _reissue(shown: list) -> None:
 
     Each goes through this process's filters and the record of warnings
     already shown of the module it was raised in, so a warning shown once per
-    location is shown once, whichever process raised it. Code with no source
-    file among the imported modules (``python -c``, say) has no such record
-    here, so its warnings are shown once per process that raised them.
+    location is shown once, whichever process raised it. Code run by
+    ``python -c`` or from stdin has the file name ``<string>`` or ``<stdin>``
+    and runs in ``__main__``, so that module's record serves it. Other code
+    with no source file among the imported modules (``exec`` of a string,
+    say) has no such record here, so its warnings are shown once per process
+    that raised them.
     """
     if not shown:
         return
     modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
     for message, filename, lineno in shown:
-        module = modules.get(filename)
+        in_main = filename in ("<string>", "<stdin>")
+        module = sys.modules.get("__main__") if in_main else modules.get(filename)
         if module is None:
             warnings.warn_explicit(message, type(message), filename, lineno)
             continue
         namespace = vars(module)
         warnings.warn_explicit(
             message, type(message), filename, lineno, module=module.__name__,
-            registry=namespace.setdefault("__warningregistry__", {}), module_globals=namespace,
+            registry=namespace.setdefault("__warningregistry__", {}),
+            # there __main__'s loader raises ImportError when asked for the source
+            module_globals=None if in_main else namespace,
         )
 
 

@@ -47,17 +47,21 @@ def sample_moments(values) -> np.ndarray:
     kurtosis is the raw fourth standardized moment, 3 for Gaussian data.
 
     Each `np.add.reduce(...) / n` is exactly what `np.mean` computes, without
-    its Python-level wrapper; the powers stay `**` because products such as
-    `dev * dev * dev` round differently.
+    its Python-level wrapper. The central powers are products of
+    ``sq = dev * dev``: ``sq * dev`` and ``sq * sq`` are correctly rounded
+    IEEE multiplications, so they give the same bytes on every CPU, where
+    numpy's SIMD ``dev**3`` and ``dev**4`` depend on the dispatched kernel
+    and cost several times more.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
     mean = np.add.reduce(x) / n
     dev = x - mean
-    sum_sq = np.add.reduce(dev**2)
+    sq = dev * dev
+    sum_sq = np.add.reduce(sq)
     m2 = sum_sq / n
-    m3 = np.add.reduce(dev**3) / n
-    m4 = np.add.reduce(dev**4) / n
+    m3 = np.add.reduce(sq * dev) / n
+    m4 = np.add.reduce(sq * sq) / n
     variance = float(sum_sq / (n - 1))
     skewness = float(m3 / m2**1.5)
     kurtosis = float(m4 / m2**2)
@@ -76,10 +80,11 @@ def _moments_by_row(samples: np.ndarray) -> np.ndarray:
     n = samples.shape[1]
     mean = np.add.reduce(samples, axis=1) / n
     dev = samples - mean[:, None]
-    sum_sq = np.add.reduce(dev**2, axis=1)
+    sq = dev * dev
+    sum_sq = np.add.reduce(sq, axis=1)
     m2 = sum_sq / n
-    m3 = np.add.reduce(dev**3, axis=1) / n
-    m4 = np.add.reduce(dev**4, axis=1) / n
+    m3 = np.add.reduce(sq * dev, axis=1) / n
+    m4 = np.add.reduce(sq * sq, axis=1) / n
     moments = np.empty((samples.shape[0], 4))
     moments[:, 0] = mean
     moments[:, 1] = sum_sq / (n - 1)

@@ -462,7 +462,7 @@ BOTTLENECK = ("--table", "TABLE", "--observed", "OBSERVED")  # bottleneck_inputs
 SIM_BOTTLENECK = "f45df64f725fb04b17964b68603c55f4d217dcaf578ba41930dd8e13e3624ac2"
 SIM_EXPANSION = "64ddcc75e0b0f6b408f30762c2c4c2661760a7c1be711b2d2fce916b41fd6e30"
 SIM_CONSTANT = "711b14bcec81238cbcc6090064ec7bb4f59c24db22b6a013c01918f53c69fe69"
-SIM_TOY = "94b5ce979895334980e17380ec1a8fb7534b8e2226496472cade02c737e3be73"
+SIM_TOY = "e6a5a6aa1789005e9c957230b4b8f36e172b3141c2c066e5d7a86d685de133d9"
 STUDY_CALIBRATE = "ee44f4e3eda07a316ce15ca0bcd7a6271f12b28f9af0490192dbe76ce0bcfecb"
 STUDY_PRIOR = "fc9342a58cb0524acf2158905014d7d7c3f3814e5668e375dfaa2f69efef12f5"
 STUDY_POST = "df4e20dfe67cba6182dfdd57e88edee179783e983f45317c9c118d92975bced7"

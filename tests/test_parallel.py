@@ -328,19 +328,37 @@ warn_by_group(4, None)  # already shown under the default filter, by whichever p
 """
 
 
+def stderr_by_worker_count(argv, stdin=None) -> list:
+    """Stderr of `python *argv workers` at each of WORKERS, the package on its path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(parallel.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    return [
+        subprocess.run([sys.executable, *argv, str(workers)], env=env, input=stdin,
+                       capture_output=True, text=True, check=True).stderr
+        for workers in WORKERS
+    ]
+
+
 @pytest.mark.parametrize("options, count", [((), 4), (("-W", "always"), 14)])
 def test_worker_warnings_print_on_stderr_as_the_serial_loop_prints_them(
     tmp_path, options, count
 ):
     script = tmp_path / "warn.py"
     script.write_text(WARNING_SCRIPT)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(parallel.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    stderr = [
-        subprocess.run([sys.executable, *options, str(script), str(workers)], env=env,
-                       capture_output=True, text=True, check=True).stderr
-        for workers in WORKERS
-    ]
+    stderr = stderr_by_worker_count([*options, str(script)])
+    assert stderr[0].count("Warning: ") == count
+    assert stderr[1:] == [stderr[0], stderr[0]]
+
+
+@pytest.mark.parametrize("options, count", [((), 4), (("-W", "always"), 14)])
+@pytest.mark.parametrize("program, stdin", [
+    (["-c", WARNING_SCRIPT], None), (["-"], WARNING_SCRIPT),
+], ids=["-c", "stdin"])
+def test_warnings_of_code_run_by_c_or_stdin_print_as_the_serial_loop_prints_them(
+    program, stdin, options, count
+):
+    # Such code has the file name <string> or <stdin> and runs in __main__.
+    stderr = stderr_by_worker_count([*options, *program], stdin)
     assert stderr[0].count("Warning: ") == count
     assert stderr[1:] == [stderr[0], stderr[0]]
 

@@ -1,16 +1,25 @@
 import hashlib
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_features__
 from scipy import stats as sps
 
+import abcgof
 from abcgof.harness import PowerStudyConfig, run_power
 from abcgof.models import build_reference_table, get_simulator
 from abcgof.toy import (
     FAMILIES,
     ToyModelSpec,
+    _moments_by_row,
     draw_prior,
     sample_moments,
     simulate,
@@ -24,10 +33,11 @@ def moments_oracle(values):
     n = x.size
     mean = x.mean()
     dev = x - mean
-    m2 = np.mean(dev**2)
-    m3 = np.mean(dev**3)
-    m4 = np.mean(dev**4)
-    variance = float(np.sum(dev**2) / (n - 1))
+    sq = dev * dev
+    m2 = np.mean(sq)
+    m3 = np.mean(sq * dev)
+    m4 = np.mean(sq * sq)
+    variance = float(np.sum(sq) / (n - 1))
     skewness = float(m3 / m2**1.5)
     kurtosis = float(m4 / m2**2)
     return np.array([float(mean), variance, skewness, kurtosis])
@@ -174,12 +184,12 @@ def test_batched_rows_refuse_the_first_nonpositive_variance():
         simulate_rows(ToyModelSpec("laplace"), thetas, np.random.default_rng(0))
 
 
-# SHA-256 of toy statistics at fixed seeds, recorded with the `np.mean`
-# formula in `sample_moments`. A change here means the toy random streams or
-# arithmetic changed.
+# SHA-256 of toy statistics at fixed seeds, recorded with the product form
+# (`sq * dev`, `sq * sq`) of the central moments in `sample_moments`. A change
+# here means the toy random streams or arithmetic changed.
 GOLDEN_TOY_TABLE_DIGESTS = {
-    "toy-gaussian": "b269c87f4dff7413ad4d3d6bcc6aea66390be6f61bf2f238c4dc80743e9b1764",
-    "toy-laplace": "78e8778961f8eeea3cf6718b2c15e4f6e059c79de59557c439d1fd4ea1aa318d",
+    "toy-gaussian": "d305ca80bedec865f26f6b8d34d96b8a0e2cf84f307a160a94a6dd075c4450a8",
+    "toy-laplace": "5b8ea7d6d909207505949ee8bdb39fe77f59b948e1338791b8a8310a277b2755",
 }
 GOLDEN_POST_STUDY_DIGEST = "eab855c289eac3d6ad3ba77fb2dbc931c1bb77110b2e06b3ea140c6c414cda30"
 
@@ -198,3 +208,48 @@ def test_posterior_statistic_study_matches_golden_digest():
     )
     p_values = run_power(config).p_values
     assert hashlib.sha256(p_values.tobytes()).hexdigest() == GOLDEN_POST_STUDY_DIGEST
+
+
+def toy_kernel_digests():
+    """SHA-256 of `sample_moments`, `_moments_by_row` and a 200-row toy-gaussian table."""
+    samples = 3.0 + 2.0 * np.random.default_rng(41).standard_normal((400, 50))
+    by_call = np.array([sample_moments(row) for row in samples])
+    table = build_reference_table(get_simulator("toy-gaussian"), 200, 5)
+    return {
+        name: hashlib.sha256(values.tobytes()).hexdigest()
+        for name, values in [
+            ("sample_moments", by_call),
+            ("_moments_by_row", _moments_by_row(samples)),
+            ("table", table.stats),
+        ]
+    }
+
+
+DISPATCH_SCRIPT = f"""
+import hashlib, json
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from abcgof.models import build_reference_table, get_simulator
+from abcgof.toy import _moments_by_row, sample_moments
+{inspect.getsource(toy_kernel_digests)}
+print(json.dumps({{"X86_V4": __cpu_features__["X86_V4"], **toy_kernel_digests()}}))
+"""
+
+
+def test_toy_kernel_bytes_do_not_depend_on_simd_dispatch():
+    if not __cpu_features__.get("X86_V4"):
+        pytest.skip("numpy runs no AVX-512 (X86_V4) kernels here, so none can be turned off")
+    env = {
+        **os.environ,
+        # what numpy dispatches on an x86 CPU without AVX-512
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+        "PYTHONPATH": os.pathsep.join(
+            [str(Path(abcgof.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        ),
+    }
+    child = json.loads(subprocess.run(
+        [sys.executable, "-c", DISPATCH_SCRIPT], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout)
+    assert child.pop("X86_V4") is False
+    assert child == toy_kernel_digests()
