@@ -187,14 +187,6 @@ def _model(args):
     return get_simulator(args.model, sample_size=args.sample_size, stat_set=args.stats)
 
 
-def _check_model_stats(simulator, table):
-    if tuple(simulator.stat_names) != tuple(table.stat_names):
-        raise DataError(
-            f"model {simulator.name!r} produces statistics {list(simulator.stat_names)} "
-            f"but the table has {list(table.stat_names)}"
-        )
-
-
 # Each _cmd_* returns (stdout text, {output file name: text}).
 
 
@@ -218,7 +210,6 @@ def _cmd_gfit(args):
 def _cmd_gfit_post(args):
     table, observed = _load_inputs(args)
     simulator = _model(args)
-    _check_model_stats(simulator, table)
     result = gfit_post(
         table, observed, args.rate, simulator, args.n_prime, args.M, args.seed
     )
@@ -229,7 +220,6 @@ def _cmd_gfit_post(args):
 def _cmd_ppc(args):
     table, observed = _load_inputs(args)
     simulator = _model(args)
-    _check_model_stats(simulator, table)
     scaling = fit_scaling(table)
     obs = ObservedStats(stat_names=table.stat_names, values=observed.align(table))
     rng = np.random.default_rng(args.seed)

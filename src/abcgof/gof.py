@@ -42,10 +42,13 @@ class Simulator(abc.ABC):
 
     Implementations must be pure given the rng (identical seeds, identical
     output) and stateless, so one instance serves every table row, null
-    replicate and study dataset. `param_transforms` names the scale
-    ("identity", "log" or "logit") on which the regression adjustment handles
-    each parameter, so constrained parameters stay inside their support; see
-    :func:`abcgof.adjust.adjusted_posterior`.
+    replicate and study dataset. :meth:`simulate` returns ``len(stat_names)``
+    finite values in `stat_names` order, and a table it serves must have those
+    statistics in that order: :func:`simulate_checked` and
+    :func:`check_model_stats` check the two. `param_transforms` names the
+    scale ("identity", "log" or "logit") on which the regression adjustment
+    handles each parameter, so constrained parameters stay inside their
+    support; see :func:`abcgof.adjust.adjusted_posterior`.
     """
 
     name: str = "simulator"
@@ -91,14 +94,33 @@ class SimulationError(RuntimeError):
 def simulate_checked(
     simulator: Simulator, theta, rng: np.random.Generator, row: int | None = None
 ) -> np.ndarray:
-    """One simulator call; an exception or non-finite output raises SimulationError."""
+    """One simulator call; an error, non-finite or wrong-length output raises SimulationError."""
     try:
         stats = np.asarray(simulator.simulate(theta, rng), dtype=float)
     except Exception as exc:  # noqa: BLE001 - report the offending draw
         raise SimulationError(theta, exc, row) from exc
     if not np.isfinite(stats).all():
         raise SimulationError(theta, ValueError("non-finite simulated statistics"), row)
+    if stats.shape != (len(simulator.stat_names),):
+        raise SimulationError(theta, ValueError(
+            f"the simulator returned {stats.size} statistics; "
+            f"the table has {len(simulator.stat_names)}"
+        ), row)
     return stats
+
+
+def check_model_stats(simulator: Simulator, table) -> None:
+    """Refuse a simulator whose statistic names, or their order, differ from `table`'s."""
+    if tuple(simulator.stat_names) != tuple(table.stat_names):
+        raise DataError(
+            f"model {simulator.name!r} produces statistics {list(simulator.stat_names)} "
+            f"but the table has {list(table.stat_names)}"
+        )
+
+
+def require_leave_one_out_rows(rate: float, n: int, n_params: int, n_stats: int) -> None:
+    """Refuse a rate whose leave-one-out rejections on n rows keep too few for the regression."""
+    require_regression_rows(min(accepted_count(rate, n), n - 1), n_params, n_stats)
 
 
 def prior_predictive(
@@ -225,11 +247,13 @@ def posterior_replicates(
 ) -> np.ndarray:
     """Simulate n' statistic vectors from the adjusted posterior for `observed`.
 
+    A simulator whose statistics are not the table's raises DataError first.
     The n' draws are simulated by one :meth:`Simulator.simulate_rows` call.
     If it raises, or returns the wrong shape or a non-finite row, the draws
     are simulated again one by one from the same generator state, and the
     first failing draw raises :class:`SimulationError`.
     """
+    check_model_stats(simulator, table)
     if n_prime < 1:
         raise ValueError(f"n_prime must be >= 1, got {n_prime}")
     accepted = reject(table, observed, scaling, rate, exclude=exclude)
@@ -247,15 +271,7 @@ def posterior_replicates(
     # The loop is the oracle: rerun from the same state, it raises the error
     # of the first failing draw.
     rng.bit_generator.state = state
-    replicates = np.empty((n_prime, table.n_stats))
-    for i, theta in enumerate(draws):
-        stats = simulate_checked(simulator, theta, rng)
-        if stats.shape != (table.n_stats,):
-            raise SimulationError(theta, ValueError(
-                f"the simulator returned {stats.size} statistics; the table has {table.n_stats}"
-            ))
-        replicates[i] = stats
-    return replicates
+    return np.array([simulate_checked(simulator, theta, rng) for theta in draws])
 
 
 def replicate_scaling(replicates: np.ndarray, prior_scaling: ScalingVector) -> ScalingVector:
@@ -327,13 +343,10 @@ def null_distribution_post(
     defines one MAD scaling, and every null value is then computed under
     that common scaling. Its seed must be its own (:mod:`abcgof.parallel`).
     """
+    check_model_stats(simulator, table)
     rows_seed, replicates_seed = children(seed, 2)
     rows = _pseudo_observed_rows(table.n, M, rows_seed)
-    # Every leave-one-out rejection keeps this many rows: refuse too few for
-    # the regression now, not after the M x n' simulations.
-    require_regression_rows(
-        min(accepted_count(rate, table.n), table.n - 1), table.n_params, scaling.kept.size
-    )
+    require_leave_one_out_rows(rate, table.n, table.n_params, scaling.kept.size)
 
     def one(j, rng):
         row = int(rows[j])

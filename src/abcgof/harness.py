@@ -11,13 +11,20 @@ streams are laid out in :mod:`abcgof.parallel`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import DataError, tsv_text
-from .gof import STATISTIC_KINDS, Simulator, goodness_of_fit, p_value, prior_predictive
+from .gof import (
+    STATISTIC_KINDS,
+    Simulator,
+    check_model_stats,
+    goodness_of_fit,
+    p_value,
+    prior_predictive,
+    require_leave_one_out_rows,
+)
 from .models import build_reference_table, get_simulator
 from .parallel import children, seeded_map
 
@@ -79,26 +86,14 @@ def _resolve(model, options: dict) -> Simulator:
     return get_simulator(str(model), **options)
 
 
-def _require_regression_rows_before_the_table(config: PowerStudyConfig, null_sim: Simulator):
-    """Refuse a posterior study whose acceptance count is too small for any table.
-
-    The regression needs p + k + 2 accepted rows, and k, the statistics the
-    table's MAD scaling keeps, is at least 1 (fit_scaling refuses a table with
-    none); the exact check follows once the table is built.
-    """
-    p = len(null_sim.param_names)
-    accepted = min(math.floor(config.acceptance_rate * config.n_sims), config.n_sims - 1)
-    if accepted < p + 3:
-        raise ValueError(
-            f"regression adjustment needs at least p + k + 2 accepted rows, {p + 3} or more "
-            f"with p = {p} parameters and k >= 1 statistics; rate {config.acceptance_rate} "
-            f"of {config.n_sims} simulations accepts {accepted}"
-        )
-
-
 def _study(config: PowerStudyConfig, null_sim: Simulator, alt_sim: Simulator) -> PowerStudyResult:
+    # Before the table. k = 1 is the least a table keeps (fit_scaling refuses
+    # none); the exact check follows the table.
+    check_model_stats(alt_sim, null_sim)
     if config.statistic == "post":
-        _require_regression_rows_before_the_table(config, null_sim)
+        require_leave_one_out_rows(
+            config.acceptance_rate, config.n_sims, len(null_sim.param_names), 1
+        )
     table_seed, null_seed, data_seed = children(config.master_seed, 3)
     table = build_reference_table(null_sim, config.n_sims, table_seed)
     nulls, statistic = goodness_of_fit(
@@ -166,15 +161,3 @@ def emit_pvalue_histogram(result: PowerStudyResult, bins: int) -> str:
     counts, _ = np.histogram(result.p_values, bins=edges)
     edges = edges.tolist()
     return tsv_text(["bin_lo", "bin_hi", "count"], zip(edges[:-1], edges[1:], counts.tolist()))
-
-
-def one_sided_two_proportion_p(k1: int, n1: int, k2: int, n2: int) -> float:
-    """P-value for H1: proportion 1 > proportion 2 (z test, one proportion under H0)."""
-    from scipy import stats as sps
-
-    p1, p2 = k1 / n1, k2 / n2
-    common = (k1 + k2) / (n1 + n2)
-    se = np.sqrt(common * (1 - common) * (1 / n1 + 1 / n2))
-    if se == 0:
-        return 1.0
-    return float(sps.norm.sf((p1 - p2) / se))

@@ -42,7 +42,8 @@ from abcgof.coalescent import (
     tajimas_d,
 )
 from abcgof.gof import d_prior, posterior_replicates
-from abcgof.harness import one_sided_two_proportion_p
+
+from proportions import one_sided_two_proportion_p
 
 pytestmark = pytest.mark.acceptance
 

@@ -143,9 +143,7 @@ def test_study_post_with_too_few_accepted_rows_fails_before_the_null(capsys, sim
     # p = 4 parameters: 6 accepted rows are too few for any k >= 1 statistics
     code, out, err = run_cli(capsys, *POST_STUDY, "--n-sims", "60")
     assert (code, out) == (2, "")
-    assert ("E_DATA: regression adjustment needs at least p + k + 2 accepted rows, 7 or more "
-            "with p = 4 parameters and k >= 1 statistics; rate 0.1 of 60 simulations "
-            "accepts 6") in err
+    assert "E_DATA: regression adjustment needs at least 7 accepted rows, got 6" in err
     assert simulate_calls == []  # refused before the table
 
 
@@ -157,6 +155,22 @@ def test_study_post_fails_after_the_table_when_its_statistics_need_more_rows(
     assert (code, out) == (2, "")
     assert "E_DATA: regression adjustment needs at least 9 accepted rows, got 8" in err
     assert len(simulate_calls) == 80  # the table rows; no null replicate
+
+
+def test_study_power_with_a_truth_of_other_statistics_fails_before_any_simulation(
+    capsys, simulate_calls
+):
+    code, out, err = run_cli(
+        capsys, "study", "power", "--null", "toy-gaussian", "--truth", "constant",
+        "--n-sims", "50", "--n-datasets", "2", "--M", "5",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "abcgof: E_DATA: model 'constant' produces statistics "
+        "['pi_mean', 'tajimas_d_mean', 'tajimas_d_var'] "
+        "but the table has ['mean', 'variance', 'skewness', 'kurtosis']\n"
+    )
+    assert simulate_calls == []
 
 
 def test_gfit_post_observed_name_mismatch_fails_before_any_simulation(

@@ -24,7 +24,7 @@ from abcgof import (
     posterior_replicates,
     replicate_scaling,
 )
-from abcgof import adjusted_posterior, get_simulator, gof, reject, sample_posterior
+from abcgof import adjusted_posterior, get_simulator, gof, parallel, reject, sample_posterior
 from abcgof.core import ScalingVector, scaled_distances
 from abcgof.gof import d_post, d_prior, observed_d_post, simulate_checked
 from abcgof.models import ToySimulator
@@ -653,3 +653,29 @@ def test_a_wrong_length_replicate_names_the_draw_and_both_lengths(sim_class):
         "the simulator returned 2 statistics; the table has 4"
     )
     assert info.value.row is None and info.value.theta.tobytes() == draws[0].tobytes()
+
+
+class DropsTheLastStatistic(ToySimulator):
+    """toy-gaussian returning 3 of its 4 statistics for one parameter draw."""
+
+    def __init__(self, bad):
+        super().__init__("gaussian")
+        self.bad = tuple(bad)
+
+    def simulate(self, theta, rng):
+        stats = super().simulate(theta, rng)
+        return stats[:3] if tuple(theta) == self.bad else stats
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_short_table_row_names_the_row_and_its_draw(monkeypatch, workers):
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: workers)
+    row = 29  # in the second worker's block at 2 workers
+    theta = build_reference_table(ToySimulator("gaussian"), 40, 6).params[row]
+    with pytest.raises(SimulationError) as info:
+        build_reference_table(DropsTheLastStatistic(theta), 40, 6)
+    assert str(info.value) == (
+        f"simulator failed at reference-table row {row} for parameters {theta.tolist()}: "
+        "the simulator returned 3 statistics; the table has 4"
+    )
+    assert info.value.row == row and info.value.theta.tobytes() == theta.tobytes()

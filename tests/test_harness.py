@@ -15,9 +15,9 @@ from abcgof import (
     run_power,
 )
 from abcgof.gof import Simulator, d_post, d_prior, p_value
-from abcgof.harness import one_sided_two_proportion_p
 
 from conftest import CallLog
+from proportions import one_sided_two_proportion_p
 
 
 def tiny_config(**overrides):
