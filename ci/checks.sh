@@ -1,0 +1,44 @@
+#!/usr/bin/env bash
+# Every CI check after checkout and install, in order; stops at the first failure.
+#
+#   ci/checks.sh                                        # abcgof installed (pip install -e .)
+#   PYTHONPATH=$PWD/src ABCGOF="python -m abcgof.cli" ci/checks.sh   # from a plain checkout
+#
+# ABCGOF is the command that runs the CLI; it defaults to the console script.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+read -r -a abcgof <<< "${ABCGOF:-abcgof}"
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+step() { printf '\n=== %s\n' "$*"; }
+
+step "Console script: simulate, then rerun reproduces the files; a data error exits 2"
+(
+  cd "$work"
+  "${abcgof[@]}" simulate --model toy-gaussian --n 200 --seed 1 --out run
+  sha256sum run/table.tsv run/simulate.json > sums
+  "${abcgof[@]}" rerun run/manifest.json
+  sha256sum -c sums
+  # a truth whose statistics are not the null's: exit 2, one E_DATA line, no stdout
+  code=0
+  "${abcgof[@]}" study power --null toy-gaussian --truth constant --n-sims 50 \
+    --n-datasets 2 --M 5 > study.out 2> study.err || code=$?
+  cat study.err
+  test "$code" -eq 2
+  test "$(grep -c '^abcgof: E_DATA:' study.err)" -eq 1
+  test ! -s study.out
+)
+
+step "Unit tests"
+python -m pytest -q -m "not acceptance" --durations=10
+
+# Again at an affinity of one CPU, so seeded_map's serial path runs at real affinity.
+step "Worker processes at one CPU: tests/test_parallel.py under taskset -c 0"
+taskset -c 0 python -m pytest -q tests/test_parallel.py
+
+step "Benchmark smoke test (span targets and metrics)"
+python -m pytest -q perfbench/test_smoke.py
+
+step "CLI determinism (criterion 8): repeat runs and --threads 1 vs 8"
+python -m pytest -q tests/test_acceptance.py::test_criterion_8_cli_determinism

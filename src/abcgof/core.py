@@ -27,6 +27,10 @@ import numpy as np
 # uniformly to every column, so it cancels in P-value ranks.
 MAD_CONSISTENCY = 1.4826
 
+# Data lines converted per ``np.array`` call when a TSV table is loaded;
+# 256 and 1024 parse equally fast, and larger blocks only hold more memory.
+PARSE_BLOCK_ROWS = 1024
+
 PARAM_PREFIX = "param_"
 STAT_PREFIX = "stat_"
 
@@ -206,7 +210,15 @@ def fit_scaling(table: ReferenceTable) -> ScalingVector:
 
 
 def scaled_distances(stats: np.ndarray, vec: np.ndarray, scaling: ScalingVector) -> np.ndarray:
-    """Row-wise scaled Euclidean distances from each row of `stats` to `vec`."""
+    """Row-wise scaled Euclidean distances from each row of `stats` to `vec`.
+
+    The pinned output bytes depend on the summation order. For two or more
+    rows, ``stats[:, kept]`` (fancy indexing on axis 1) returns an F-ordered
+    copy, on which ``einsum`` sums the squares column by column in kept
+    order: ``sqrt(((t0*t0) + t1*t1) + ...)``. Skipping that selection when
+    no column is dropped would change the bytes. A single row is contiguous
+    in both orders, and einsum may reduce it in another order.
+    """
     stats = np.asarray(stats, dtype=float)
     vec = np.asarray(vec, dtype=float).ravel()
     if stats.shape[1] != vec.size or vec.size != scaling.scales.size:
@@ -239,7 +251,8 @@ def distance(a, b, scaling: ScalingVector) -> float:
 # TSV input / output
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+def _read_rows(path) -> tuple[list[str], list[str]]:
+    """The header's cells and the data lines, unsplit; empty lines are skipped."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -253,7 +266,7 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
     if not lines or not lines[0].strip():
         raise DataError(f"{path}: missing header")
     header = lines[0].split("\t")
-    rows = [line.split("\t") for line in lines[1:] if line != ""]
+    rows = [line for line in lines[1:] if line != ""]
     return header, rows
 
 
@@ -271,21 +284,39 @@ def _parse_cell(cell: str, row: int, column: str, path) -> float:
     return value
 
 
-def _parse_matrix(header: list[str], rows: list[list[str]], path) -> np.ndarray:
-    data = np.empty((len(rows), len(header)), dtype=float)
-    for i, row in enumerate(rows, start=1):
+def _parse_block(header: list[str], block: list[list[str]], first: int, path) -> list:
+    """Parse a block's rows cell by cell, in order, naming the first bad row or cell."""
+    values = []
+    for i, row in enumerate(block, start=first):
         if len(row) != len(header):
             raise DataError(
                 f"{path}: data row {i} has {len(row)} fields, header has {len(header)}"
             )
+        values.append([_parse_cell(cell, i, header[j], path) for j, cell in enumerate(row)])
+    return values
+
+
+def _parse_matrix(header: list[str], lines: list[str], path) -> np.ndarray:
+    """Parse TSV data lines into one float array, `PARSE_BLOCK_ROWS` lines at a time.
+
+    Each block's lines are split and converted by one ``np.array`` call, so
+    besides the lines and the result only one block of split cells is alive
+    at a time. A block that call rejects (a ragged row, a cell ``float``
+    refuses) or that holds a non-finite value is parsed again by
+    `_parse_block`, which names the first bad row or cell; if it finds
+    none, its values are used.
+    """
+    data = np.empty((len(lines), len(header)), dtype=float)
+    for lo in range(0, len(lines), PARSE_BLOCK_ROWS):
+        block = [line.split("\t") for line in lines[lo:lo + PARSE_BLOCK_ROWS]]
         try:
-            values = [float(cell) for cell in row]
+            values = np.array(block, dtype=float)
+            parsed = values.shape == (len(block), len(header)) and np.isfinite(values).all()
         except ValueError:
-            values = None
-        if values is None or not all(map(math.isfinite, values)):
-            # Re-parse cell by cell so that the first bad cell is named.
-            values = [_parse_cell(cell, i, header[j], path) for j, cell in enumerate(row)]
-        data[i - 1] = values
+            parsed = False
+        if not parsed:
+            values = _parse_block(header, block, lo + 1, path)
+        data[lo:lo + len(block)] = values
     return data
 
 

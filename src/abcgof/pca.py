@@ -9,6 +9,7 @@ boolean never feeds a P-value.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -122,7 +123,9 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
     if pts.shape[0] <= 2:
         return pts
-    # unique() sorts lexicographically, as the chain construction needs
+    # unique() sorts lexicographically, as the chain construction needs. The
+    # chain runs on Python floats: the same IEEE arithmetic as numpy scalars,
+    # without their per-operation overhead.
     def half(chain_pts):
         chain = []
         for p in chain_pts:
@@ -131,11 +134,12 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
             chain.append(p)
         return chain
 
-    lower = half(pts)
-    upper = half(pts[::-1])
+    rows = pts.tolist()
+    lower = half(rows)
+    upper = half(rows[::-1])
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:  # collinear input collapses to its extreme points
-        return np.vstack([lower[0], lower[-1]])
+        hull = [lower[0], lower[-1]]
     return np.array(hull)
 
 
@@ -171,8 +175,10 @@ def point_in_convex(polygon: np.ndarray, point) -> bool:
 
 def scores_tsv(projection: PcaProjection) -> str:
     """Scores plus the observed point as TSV (`pc1`, `pc2`, `kind`)."""
-    rows = [[*row, "sim"] for row in projection.scores.tolist()]
-    rows.append([*projection.observed_score.tolist(), "observed"])
+    rows = itertools.chain(
+        ([*row, "sim"] for row in projection.scores.tolist()),
+        [[*projection.observed_score.tolist(), "observed"]],
+    )
     return tsv_text(["pc1", "pc2", "kind"], rows)
 
 

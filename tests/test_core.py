@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from abcgof import (
     save_observed,
     save_reference_table,
 )
-from abcgof.core import scaled_distances
+from abcgof.core import PARSE_BLOCK_ROWS, scaled_distances
 
 from conftest import make_table
 
@@ -212,6 +213,27 @@ def test_scaled_distances_matches_scalar(rng):
         assert batch[i] == pytest.approx(distance(table.stats[i], vec, scaling), rel=1e-12)
 
 
+def test_scaled_distances_sum_squares_in_kept_column_order():
+    # The pinned digests hold sqrt(((t0*t0) + t1*t1) + ...), summed left to right over
+    # the kept columns, not a pairwise or vectorised reduction. (A single row is
+    # contiguous either way, so einsum's order for it is not pinned; see the docstring.)
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n, k = int(rng.integers(2, 40)), int(rng.integers(1, 9))
+        dropped = {j for j in range(k) if rng.random() < 0.3} if k > 1 else set()
+        if len(dropped) == k:
+            dropped.pop()
+        scales = np.where([j in dropped for j in range(k)], 0.0, rng.uniform(0.01, 10, k))
+        scaling = ScalingVector(scales=scales, dropped=dropped)
+        stats = rng.standard_normal((n, k)) * rng.uniform(1e-3, 1e3, k)
+        vec = rng.standard_normal(k)
+        total = None
+        for j in scaling.kept:
+            t = (stats[:, j] - vec[j]) / scales[j]
+            total = t * t if total is None else total + t * t
+        assert scaled_distances(stats, vec, scaling).tobytes() == np.sqrt(total).tobytes()
+
+
 # --- table and observed validation ------------------------------------------------
 
 
@@ -356,7 +378,7 @@ def test_observed_roundtrip(tmp_path, rng):
 
 
 def cells_oracle(header, rows, path):
-    """Per-cell parse in row-major order: the reference for the row-at-a-time loader."""
+    """Per-cell parse in row-major order: the reference for the block loader."""
     data = np.empty((len(rows), len(header)))
     for i, row in enumerate(rows, start=1):
         for j, cell in enumerate(row):
@@ -417,3 +439,90 @@ def test_loader_names_the_first_bad_cell_in_row_major_order(tmp_path):
     path.write_text("param_a\tstat_b\n" + "".join("\t".join(r) + "\n" for r in rows))
     with pytest.raises(DataError, match=r"non-finite cell at data row 5, column 'stat_b': 'inf'"):
         load_reference_table(path)
+
+
+# --- block boundaries of the loader (PARSE_BLOCK_ROWS lines per np.array call) ---------
+
+BLOCK = PARSE_BLOCK_ROWS
+BLOCK_HEADER = ["param_a", "stat_b", "stat_c"]
+
+
+def block_rows(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [[repr(v) for v in row] for row in rng.standard_normal((n, 3)).tolist()]
+
+
+def write_rows(path, rows, blank_before=()):
+    """Write the table, with an empty line before each data row index in `blank_before`."""
+    lines = ["\t".join(BLOCK_HEADER)]
+    for i, row in enumerate(rows):
+        lines.extend([""] * blank_before.count(i))
+        lines.append("\t".join(row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def assert_loads_as_oracle(path, rows):
+    try:
+        want = cells_oracle(BLOCK_HEADER, rows, path)
+    except DataError as exc:
+        with pytest.raises(DataError) as info:
+            load_reference_table(path)
+        assert str(info.value) == str(exc)
+        return
+    table = load_reference_table(path)
+    assert table.params.tobytes() == want[:, [0]].tobytes()
+    assert table.stats.tobytes() == want[:, 1:].tobytes()
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_loader_matches_the_oracle_around_a_block_boundary(tmp_path, n):
+    rows = block_rows(n)
+    write_rows(tmp_path / "t.tsv", rows)
+    assert_loads_as_oracle(tmp_path / "t.tsv", rows)
+
+
+@pytest.mark.parametrize("cell", BAD_CELLS)
+@pytest.mark.parametrize("column", [0, 2])
+def test_loader_names_a_bad_cell_in_the_first_row_of_the_second_block(tmp_path, cell, column):
+    rows = block_rows(BLOCK + 5)
+    rows[BLOCK][column] = cell
+    rows[BLOCK + 2][0] = "abc"  # a later bad cell is not the one named
+    write_rows(tmp_path / "t.tsv", rows)
+    assert_loads_as_oracle(tmp_path / "t.tsv", rows)
+
+
+def test_loader_counts_fields_before_cells_in_the_last_block(tmp_path):
+    rows = block_rows(2 * BLOCK + 5)
+    rows[2 * BLOCK + 3] = ["1.0", "abc"]
+    rows[2 * BLOCK + 4][2] = "nan"
+    write_rows(tmp_path / "t.tsv", rows)
+    with pytest.raises(DataError) as info:
+        load_reference_table(tmp_path / "t.tsv")
+    assert str(info.value) == (
+        f"{tmp_path / 't.tsv'}: data row {2 * BLOCK + 4} has 2 fields, header has 3"
+    )
+
+
+@pytest.mark.parametrize("bad", [False, True])
+def test_loader_skips_blank_lines_across_a_block_boundary(tmp_path, bad):
+    rows = block_rows(BLOCK + 3)
+    if bad:
+        rows[BLOCK + 1][1] = "inf"
+    write_rows(tmp_path / "t.tsv", rows, blank_before=(BLOCK - 1, BLOCK, BLOCK, BLOCK + 1))
+    assert_loads_as_oracle(tmp_path / "t.tsv", rows)
+
+
+def test_loader_peak_memory_is_a_few_times_the_matrix(tmp_path):
+    n = 20_000
+    rng = np.random.default_rng(3)
+    table = make_table(rng.standard_normal((n, 4)), params=rng.standard_normal((n, 2)))
+    save_reference_table(table, tmp_path / "t.tsv")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_reference_table(tmp_path / "t.tsv")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert loaded.stats.tobytes() == table.stats.tobytes()
+    assert peak < 10 * n * 6 * 8

@@ -153,3 +153,48 @@ def test_collinear_hull_degenerates_to_segment():
     assert point_in_convex(hull, [1.5, 1.5])
     assert not point_in_convex(hull, [1.5, 1.6])
     assert not point_in_convex(hull, [4.0, 4.0])
+
+
+def numpy_scalar_hull(points):
+    """Monotone chain on numpy scalar rows: the reference for `convex_hull`'s float chain."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if pts.shape[0] <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def half(chain_pts):
+        chain = []
+        for p in chain_pts:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    lower = half(pts)
+    upper = half(pts[::-1])
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:
+        return np.vstack([lower[0], lower[-1]])
+    return np.array(hull)
+
+
+def hull_point_sets():
+    rng = np.random.default_rng(20)
+    for n in (1, 2, 3, 5, 40, 2000):
+        yield rng.standard_normal((n, 2)) * rng.uniform(1e-3, 1e3)
+        # duplicate-heavy: few distinct values, many repeats
+        yield rng.integers(-3, 4, size=(n, 2)).astype(float)
+        yield np.repeat(rng.standard_normal((max(1, n // 10), 2)), 10, axis=0)
+        # collinear, with repeats, along a slope that rounds
+        t = rng.integers(-50, 50, size=n).astype(float) / 7
+        yield np.column_stack([t, 0.1 * t + 0.3])
+        yield np.column_stack([np.zeros(n), t])
+
+
+def test_convex_hull_matches_the_numpy_scalar_chain_byte_for_byte():
+    for pts in hull_point_sets():
+        got, want = convex_hull(pts), numpy_scalar_hull(pts)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
