@@ -30,6 +30,12 @@ step "Console script: simulate, then rerun reproduces the files; a data error ex
   test ! -s study.out
 )
 
+step "Library: README's python block runs, and a star import finds every name in __all__"
+awk '/^```python$/ {keep = 1; next} /^```$/ {keep = 0} keep' README.md > "$work/readme.py"
+test -s "$work/readme.py"
+python "$work/readme.py"
+python -c "from abcgof import *"
+
 step "Unit tests"
 python -m pytest -q -m "not acceptance" --durations=10
 

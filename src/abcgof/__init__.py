@@ -26,7 +26,6 @@ from .core import (
 )
 from .gof import (
     GofResult,
-    GofSettings,
     PosteriorNull,
     SimulationError,
     Simulator,
@@ -61,7 +60,6 @@ __all__ = [
     "DataError",
     "Envelope",
     "GofResult",
-    "GofSettings",
     "ObservedStats",
     "PcaProjection",
     "PosteriorNull",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReferenceTable, ScalingVector, observed_vector
+from .core import ReferenceTable, ScalingVector
 from .rejection import AcceptanceSet
 
 # Relative tolerance for declaring the weighted normal-equations matrix
@@ -27,15 +27,12 @@ class PosteriorSample:
 
     params: np.ndarray  # n_accepted x p
     weights: np.ndarray  # sums to 1
-    source: AcceptanceSet
 
     def __post_init__(self):
         params = np.asarray(self.params, dtype=float)
         weights = np.asarray(self.weights, dtype=float).ravel()
         if params.shape[0] != weights.size:
             raise ValueError("params and weights must have the same row count")
-        if params.shape[0] != len(self.source):
-            raise ValueError("row count must match the acceptance set")
         if np.any(weights < 0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite and nonnegative")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -157,17 +154,17 @@ def adjusted_posterior(
 ) -> PosteriorSample:
     """Adjust the accepted rows of a table, optionally on transformed scales.
 
-    `transforms` gives one of "identity", "log" or "logit" per parameter
-    column (empty means identity everywhere). Transformed parameters are
-    mapped before the regression and mapped back afterwards, which keeps
-    positivity- or interval-constrained parameters inside their support;
-    everything else is adjusted on its raw scale.
+    `observed` is a vector in the table's statistic order. `transforms` gives
+    one of "identity", "log" or "logit" per parameter column (empty means
+    identity everywhere). Transformed parameters are mapped before the
+    regression and mapped back afterwards, which keeps positivity- or
+    interval-constrained parameters inside their support; everything else is
+    adjusted on its raw scale.
     """
-    vec = observed_vector(observed, table)
     kept = scaling.kept
     scales = scaling.scales[kept]
     std_stats = table.stats[accepted.indices][:, kept] / scales
-    std_observed = vec[kept] / scales
+    std_observed = np.asarray(observed, dtype=float)[kept] / scales
 
     transforms = tuple(transforms)
     if transforms and len(transforms) != table.n_params:
@@ -175,7 +172,7 @@ def adjusted_posterior(
     theta = _to_transformed(table.params[accepted.indices], transforms)
     adjusted, weights = linear_adjust_matrix(theta, std_stats, std_observed, accepted.distances)
     adjusted = _from_transformed(adjusted, transforms)
-    return PosteriorSample(params=adjusted, weights=weights, source=accepted)
+    return PosteriorSample(params=adjusted, weights=weights)
 
 
 def sample_posterior(sample: PosteriorSample, count: int, rng: np.random.Generator) -> np.ndarray:

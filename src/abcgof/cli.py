@@ -234,7 +234,7 @@ def _cmd_ppc(args):
 def _cmd_gfitpca(args):
     table, observed = _load_inputs(args)
     scaling = fit_scaling(table)
-    projection = pca.pca_fit(table, observed, scaling)
+    projection = pca.pca_fit(table, observed.align(table), scaling)
     env = pca.envelope(projection.scores, projection.observed_score, args.coverage)
     text = json_text({
         "explained_fraction": list(projection.explained_fraction),

@@ -150,17 +150,6 @@ class ObservedStats:
         return self.values[[position[n] for n in table.stat_names]]
 
 
-def observed_vector(observed, table: ReferenceTable) -> np.ndarray:
-    """The observed statistics as a vector in the table's statistic order.
-
-    An :class:`ObservedStats` is aligned to the table by name; anything else
-    is taken as a raw vector already in table statistic order.
-    """
-    if isinstance(observed, ObservedStats):
-        return observed.align(table)
-    return np.asarray(observed, dtype=float).ravel()
-
-
 @dataclass(frozen=True, eq=False)
 class ScalingVector:
     """Per-statistic MAD scales; zero-MAD columns are dropped from distances."""
@@ -239,12 +228,8 @@ def distance(a, b, scaling: ScalingVector) -> float:
     coordinate.
     """
     a = np.asarray(a, dtype=float).ravel()
-    if a.size != scaling.scales.size:
-        raise ValueError(
-            f"statistic length mismatch: vector has {a.size}, scaling has "
-            f"{scaling.scales.size}"
-        )
-    return float(scaled_distances(a[None, :], b, scaling)[0])
+    # Two rows: a single row is summed in another order (see scaled_distances).
+    return float(scaled_distances(np.vstack([a, a]), b, scaling)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .core import (
     ScalingVector,
     fit_scaling,
     mad,
-    observed_vector,
     scaled_distances,
 )
 from .parallel import children, parallel_map, seeded_map
@@ -131,26 +130,21 @@ def prior_predictive(
     return theta, simulate_checked(simulator, theta, rng, row)
 
 
-@dataclass(frozen=True)
-class GofSettings:
+@dataclass(frozen=True, eq=False)
+class GofResult:
+    """Observed test statistic, its Monte Carlo null distribution, P-value and settings."""
+
+    statistic_kind: str  # "prior" or "post"
+    observed_value: float
+    null_values: np.ndarray
     acceptance_rate: float
     M: int
     n_prime: int | None
     seed: int
 
-
-@dataclass(frozen=True, eq=False)
-class GofResult:
-    """Observed test statistic, its Monte Carlo null distribution, and P-value."""
-
-    statistic_kind: str  # "prior" or "post"
-    observed_value: float
-    null_values: np.ndarray
-    settings: GofSettings
-
     def __post_init__(self):
         nulls = np.asarray(self.null_values, dtype=float).copy()
-        if nulls.size != self.settings.M or not np.all(np.isfinite(nulls)):
+        if nulls.size != self.M or not np.all(np.isfinite(nulls)):
             raise ValueError("null values must be M finite numbers")
         nulls.setflags(write=False)
         object.__setattr__(self, "null_values", nulls)
@@ -164,7 +158,7 @@ class GofResult:
     def p_value_conservative(self) -> float:
         """(1 + exceedance count) / (1 + M): never exactly zero at finite M."""
         count = int(np.count_nonzero(self.null_values >= self.observed_value))
-        return (1 + count) / (1 + self.settings.M)
+        return (1 + count) / (1 + self.M)
 
     def to_dict(self) -> dict:
         return {
@@ -172,10 +166,10 @@ class GofResult:
             "observed_D": self.observed_value,
             "p_value": self.p_value,
             "p_value_conservative": self.p_value_conservative,
-            "M": self.settings.M,
-            "acceptance_rate": self.settings.acceptance_rate,
-            "n_prime": self.settings.n_prime,
-            "seed": self.settings.seed,
+            "M": self.M,
+            "acceptance_rate": self.acceptance_rate,
+            "n_prime": self.n_prime,
+            "seed": self.seed,
             "null_values": self.null_values.tolist(),
         }
 
@@ -300,18 +294,16 @@ def d_post(
     n_prime: int,
     rng: np.random.Generator,
     null_pooled: np.ndarray,
-) -> tuple[float, np.ndarray]:
+) -> float:
     """Mean scaled distance from the observed statistics to posterior replicates.
 
-    Returns the statistic and the raw n' x k replicate matrix (reusable for
-    posterior predictive checks). Distances use a MAD scaling refit on
-    replicates, not the prior-table scaling: on `null_pooled` (the pooled
-    replicates of :func:`null_distribution_post`) extended with these n'
-    replicates.
+    `observed` is a vector in the table's statistic order. Distances use a
+    MAD scaling refit on replicates, not the prior-table scaling: on
+    `null_pooled` (the pooled replicates of :func:`null_distribution_post`)
+    extended with these n' replicates.
     """
-    vec = observed_vector(observed, table)
-    replicates = posterior_replicates(table, vec, scaling, rate, simulator, n_prime, rng)
-    return observed_d_post(vec, replicates, null_pooled, scaling), replicates
+    replicates = posterior_replicates(table, observed, scaling, rate, simulator, n_prime, rng)
+    return observed_d_post(observed, replicates, null_pooled, scaling)
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,7 +394,7 @@ def goodness_of_fit(
     null = null_distribution_post(table, scaling, rate, simulator, n_prime, M, seed)
 
     def statistic(observed, rng):
-        return d_post(table, observed, scaling, rate, simulator, n_prime, rng, null.pooled)[0]
+        return d_post(table, observed, scaling, rate, simulator, n_prime, rng, null.pooled)
 
     return null.values, statistic
 
@@ -415,14 +407,14 @@ def gfit(
     seed: int,
 ) -> GofResult:
     """Goodness-of-fit test of the table's model using the prior statistic."""
-    settings = GofSettings(acceptance_rate=rate, M=M, n_prime=None, seed=operator.index(seed))
-    vec = observed_vector(observed, table)  # a name mismatch fails before the null
-    nulls, statistic = goodness_of_fit("prior", table, rate, M, settings.seed)
+    seed = operator.index(seed)
+    vec = observed.align(table)  # a name mismatch fails before the null
+    nulls, statistic = goodness_of_fit("prior", table, rate, M, seed)
     return GofResult(
         statistic_kind="prior",
         observed_value=statistic(vec, None),
         null_values=nulls,
-        settings=settings,
+        acceptance_rate=rate, M=M, n_prime=None, seed=seed,
     )
 
 
@@ -441,15 +433,15 @@ def gfit_post(
     the null is computed from child 1; see :func:`goodness_of_fit` for the
     scaling each uses.
     """
-    settings = GofSettings(acceptance_rate=rate, M=M, n_prime=n_prime, seed=operator.index(seed))
-    vec = observed_vector(observed, table)  # a name mismatch fails before M x n' simulations
-    observed_seed, null_seed = children(settings.seed, 2)
+    seed = operator.index(seed)
+    vec = observed.align(table)  # a name mismatch fails before M x n' simulations
+    observed_seed, null_seed = children(seed, 2)
     nulls, statistic = goodness_of_fit("post", table, rate, M, null_seed, simulator, n_prime)
     return GofResult(
         statistic_kind="post",
         observed_value=statistic(vec, np.random.default_rng(observed_seed)),
         null_values=nulls,
-        settings=settings,
+        acceptance_rate=rate, M=M, n_prime=n_prime, seed=seed,
     )
 
 

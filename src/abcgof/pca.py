@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, ReferenceTable, ScalingVector, observed_vector, tsv_text
+from .core import DataError, ReferenceTable, ScalingVector, tsv_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +37,8 @@ class Envelope:
 def pca_fit(table: ReferenceTable, observed, scaling: ScalingVector) -> PcaProjection:
     """Project the table's statistics and the observed vector onto the top-2 PCs.
 
-    Statistics are divided by their MAD scales (dropped columns excluded) and
+    `observed` is a vector in the table's statistic order. Statistics are
+    divided by their MAD scales (dropped columns excluded) and
     column-centered; the loadings are the two leading eigenvectors of the
     sample covariance, with the sign convention that each loading's
     largest-magnitude entry is positive.
@@ -47,7 +48,7 @@ def pca_fit(table: ReferenceTable, observed, scaling: ScalingVector) -> PcaProje
     kept = scaling.kept
     if kept.size < 2:
         raise DataError("PCA needs at least 2 usable statistics")
-    vec = observed_vector(observed, table)
+    vec = np.asarray(observed, dtype=float)
 
     standardized = table.stats[:, kept] / scaling.scales[kept]
     mean = standardized.mean(axis=0)

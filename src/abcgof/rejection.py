@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, ReferenceTable, ScalingVector, observed_vector, scaled_distances
+from .core import ReferenceTable, ScalingVector, scaled_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,30 +60,25 @@ def reject(
 ) -> AcceptanceSet:
     """Select the accepted fraction of table rows nearest the observed statistics.
 
-    `observed` may be an :class:`ObservedStats` (aligned to the table by name)
-    or a raw vector already in table statistic order. With `exclude`, that row
-    cannot be selected, but the accepted count stays floor(rate * n) of the
-    full table: a leave-one-out pseudo-observed run then averages exactly as
-    many distances as a run on the real observed data, which keeps the two
-    exchangeable. Ties at the acceptance boundary are broken by lower row
+    `observed` is a vector in the table's statistic order. With `exclude`,
+    that row cannot be selected, but the accepted count stays floor(rate * n)
+    of the full table: a leave-one-out pseudo-observed run then averages
+    exactly as many distances as a run on the real observed data, which keeps
+    the two exchangeable. Ties at the acceptance boundary are broken by lower row
     index, so the result does not depend on sort stability.
 
     Selection is a partial (k-smallest) selection rather than a full sort;
     tables with millions of rows stay cheap.
     """
     count = accepted_count(rate, table.n)
-    vec = observed_vector(observed, table)
-    dist = scaled_distances(table.stats, vec, scaling)
+    dist = scaled_distances(table.stats, observed, scaling)
 
     n_effective = table.n
     if exclude is not None:
         if not 0 <= exclude < table.n:
             raise ValueError(f"exclude index {exclude} out of range for {table.n} rows")
-        dist = dist.copy()
         dist[exclude] = np.inf
         n_effective -= 1
-    if n_effective == 0:
-        raise DataError("empty effective table")
 
     keep = min(count, n_effective)
     boundary = np.partition(dist, keep - 1)[keep - 1]

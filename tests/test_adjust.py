@@ -189,9 +189,7 @@ def one_row_sample():
     table = make_table(np.arange(6.0), params=np.arange(6.0) + 10)
     scaling = fit_scaling(table)
     accepted = reject(table, [0.0], scaling, rate=1 / 6)
-    return PosteriorSample(
-        params=table.params[accepted.indices], weights=[1.0], source=accepted
-    )
+    return PosteriorSample(params=table.params[accepted.indices], weights=[1.0])
 
 
 def test_single_row_sample_always_returns_it(rng):
@@ -201,23 +199,13 @@ def test_single_row_sample_always_returns_it(rng):
 
 
 def test_zero_weight_rows_never_drawn(rng):
-    table = make_table(np.arange(6.0), params=np.arange(6.0))
-    scaling = fit_scaling(table)
-    accepted = reject(table, [0.0], scaling, rate=2 / 6)
-    sample = PosteriorSample(
-        params=np.array([[111.0], [222.0]]), weights=[1.0, 0.0], source=accepted
-    )
+    sample = PosteriorSample(params=np.array([[111.0], [222.0]]), weights=[1.0, 0.0])
     draws = sample_posterior(sample, 500, rng)
     assert np.all(draws == 111.0)
 
 
 def test_uniform_weights_draw_uniformly():
-    table = make_table(np.arange(8.0), params=np.arange(8.0))
-    scaling = fit_scaling(table)
-    accepted = reject(table, [0.0], scaling, rate=1.0)
-    sample = PosteriorSample(
-        params=np.arange(8.0)[:, None], weights=np.full(8, 1 / 8), source=accepted
-    )
+    sample = PosteriorSample(params=np.arange(8.0)[:, None], weights=np.full(8, 1 / 8))
     draws = sample_posterior(sample, 100_000, np.random.default_rng(5))
     counts = np.bincount(draws[:, 0].astype(int), minlength=8)
     assert sps.chisquare(counts).pvalue > 0.01
@@ -240,10 +228,7 @@ def test_count_validation(rng):
 
 
 def test_posterior_sample_validation():
-    table = make_table(np.arange(6.0), params=np.arange(6.0))
-    scaling = fit_scaling(table)
-    accepted = reject(table, [0.0], scaling, rate=2 / 6)
     with pytest.raises(ValueError, match="sum to 1"):
-        PosteriorSample(params=np.ones((2, 1)), weights=[0.4, 0.4], source=accepted)
+        PosteriorSample(params=np.ones((2, 1)), weights=[0.4, 0.4])
     with pytest.raises(ValueError, match="nonnegative"):
-        PosteriorSample(params=np.ones((2, 1)), weights=[1.5, -0.5], source=accepted)
+        PosteriorSample(params=np.ones((2, 1)), weights=[1.5, -0.5])

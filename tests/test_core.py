@@ -213,6 +213,25 @@ def test_scaled_distances_matches_scalar(rng):
         assert batch[i] == pytest.approx(distance(table.stats[i], vec, scaling), rel=1e-12)
 
 
+@st.composite
+def matrix_row_and_scaling(draw):
+    """Stats of two or more rows, one row index, a vector and a scaling with drops."""
+    n, k = draw(st.integers(2, 5)), draw(st.integers(1, 20))
+    stats = np.array(draw(st.lists(finite_floats, min_size=n * k, max_size=n * k))).reshape(n, k)
+    vec = np.array(draw(st.lists(finite_floats, min_size=k, max_size=k)))
+    dropped = draw(st.sets(st.integers(0, k - 1), max_size=k - 1))
+    scales = [0.0 if j in dropped else draw(st.floats(1e-3, 1e3)) for j in range(k)]
+    return stats, draw(st.integers(0, n - 1)), vec, ScalingVector(scales=scales, dropped=dropped)
+
+
+@given(matrix_row_and_scaling())
+@settings(max_examples=300, deadline=None)
+def test_distance_gives_the_bytes_of_its_row_in_scaled_distances(case):
+    stats, i, vec, scaling = case
+    batch = scaled_distances(stats, vec, scaling)
+    assert np.float64(distance(stats[i], vec, scaling)).tobytes() == batch[i].tobytes()
+
+
 def test_scaled_distances_sum_squares_in_kept_column_order():
     # The pinned digests hold sqrt(((t0*t0) + t1*t1) + ...), summed left to right over
     # the kept columns, not a pairwise or vectorised reduction. (A single row is

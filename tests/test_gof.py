@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from abcgof import (
     DataError,
     GofResult,
-    GofSettings,
     ObservedStats,
     SimulationError,
     Simulator,
@@ -225,11 +224,12 @@ def test_d_post_zero_for_simulator_reproducing_observed():
     table = echo_table()
     scaling = fit_scaling(table)
     sim = ConstantSimulator(4.25)
-    value, replicates = d_post(
+    value = d_post(
         table, [4.25], scaling, 0.5, sim, n_prime=8, rng=np.random.default_rng(0),
         null_pooled=np.empty((0, 1)),
     )
     assert value == 0.0
+    replicates = posterior_replicates(table, [4.25], scaling, 0.5, sim, 8, np.random.default_rng(0))
     assert replicates.shape == (8, 1)
     assert np.all(replicates == 4.25)
 
@@ -239,7 +239,7 @@ def test_d_post_constant_simulator_falls_back_to_prior_scale():
     scaling = fit_scaling(table)
     sim = ConstantSimulator(9.0)
     observed = 4.0
-    value, _ = d_post(
+    value = d_post(
         table, [observed], scaling, 0.5, sim, n_prime=5, rng=np.random.default_rng(0),
         null_pooled=np.empty((0, 1)),
     )
@@ -253,8 +253,10 @@ def test_d_post_deterministic_per_seed():
     no_pool = np.empty((0, 1))
     a = d_post(table, [5.0], scaling, 0.5, sim, 6, np.random.default_rng(11), no_pool)
     b = d_post(table, [5.0], scaling, 0.5, sim, 6, np.random.default_rng(11), no_pool)
-    assert a[0] == b[0]
-    assert np.array_equal(a[1], b[1])
+    assert a == b
+    reps = posterior_replicates(table, [5.0], scaling, 0.5, sim, 6, np.random.default_rng(11))
+    again = posterior_replicates(table, [5.0], scaling, 0.5, sim, 6, np.random.default_rng(11))
+    assert np.array_equal(reps, again)
 
 
 def test_simulation_error_carries_the_draw():
@@ -400,7 +402,10 @@ def test_gfit_result_recomputes_its_p_value(rng):
             observed_value=result.observed_value,
             null_values=result.null_values,
             p_value=0.123456,
-            settings=result.settings,
+            acceptance_rate=result.acceptance_rate,
+            M=result.M,
+            n_prime=result.n_prime,
+            seed=result.seed,
         )
 
 
@@ -436,12 +441,15 @@ def test_gfit_post_composition_is_pinned():
     observed_seed, null_seed = root.spawn(2)
     null = null_distribution_post(table, scaling, rate, sim, n_prime, M, null_seed)
     rng = np.random.default_rng(observed_seed)
-    expected, reps = d_post(table, [5.0], scaling, rate, sim, n_prime, rng, null.pooled)
+    expected = d_post(table, [5.0], scaling, rate, sim, n_prime, rng, null.pooled)
+    rng = np.random.default_rng(observed_seed)
+    reps = posterior_replicates(table, [5.0], scaling, rate, sim, n_prime, rng)
     assert np.array_equal(result.null_values, null.values)
     assert expected == observed_d_post(np.array([5.0]), reps, null.pooled, scaling)
     assert result.observed_value == expected
     assert result.p_value == p_value(expected, null.values)
-    assert result.settings == GofSettings(rate, M, n_prime, seed)
+    settings = (result.acceptance_rate, result.M, result.n_prime, result.seed)
+    assert settings == (rate, M, n_prime, seed)
 
 
 def test_gfit_post_deterministic_and_thread_invariant():

@@ -103,7 +103,7 @@ def test_post_study_reuses_one_table_and_one_null_distribution():
         rng = np.random.default_rng(streams[i])
         theta = sim.draw_prior(rng)
         observed = sim.simulate(theta, rng)
-        value, _ = d_post(table, observed, scaling, rate, sim, config.n_prime, rng, null.pooled)
+        value = d_post(table, observed, scaling, rate, sim, config.n_prime, rng, null.pooled)
         assert result.p_values[i] == p_value(value, null.values)
 
 

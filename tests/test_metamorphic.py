@@ -7,7 +7,10 @@ multiplies its MAD by the same factor, exactly in floating point, so every
 scaled distance keeps its bytes. The MAD also ignores how far out the
 extreme values lie, which tells it from the standard deviation, a scale that
 is as exact under powers of two. Reordering the columns, names included,
-changes only the order of each distance's sum.
+changes only the order of each distance's sum. A constant statistic has zero
+MAD, so it is dropped from every distance and from the regression. Each study
+dataset has its own stream and all share one null, so more datasets keep the
+first ones' P-values.
 """
 
 import functools
@@ -18,12 +21,15 @@ import pytest
 from abcgof import (
     DataError,
     ObservedStats,
+    PowerStudyConfig,
     ReferenceTable,
     build_reference_table,
     get_simulator,
     gfit,
     gfit_post,
+    run_power,
 )
+from abcgof.core import json_text
 from abcgof.models import ToySimulator
 
 from conftest import CallLog
@@ -142,3 +148,75 @@ def test_the_posterior_statistic_refuses_reordered_columns_before_simulating(tmp
         f"but the table has {[table.stat_names[j] for j in order]}"
     )
     assert sim.log == []
+
+
+def result_json(result) -> str:
+    return json_text(result.to_dict())
+
+
+def test_shuffled_observed_names_keep_every_byte_of_both_statistics():
+    # gfit and gfit_post match the observed statistics to the table by name.
+    table = toy_table()
+    values = observed_values(table)
+    observed = ObservedStats(stat_names=table.stat_names, values=values)
+    shuffled = ObservedStats(stat_names=[table.stat_names[j] for j in ORDER], values=values[ORDER])
+    assert result_json(gfit(table, shuffled, RATE, 200, seed=5)) == result_json(
+        gfit(table, observed, RATE, 200, seed=5)
+    )
+    sim = ToySimulator("gaussian")
+    assert result_json(gfit_post(table, shuffled, RATE, sim, 50, 40, seed=6)) == result_json(
+        gfit_post(table, observed, RATE, sim, 50, 40, seed=6)
+    )
+
+
+CONSTANT = 2.5
+
+
+class ConstantAppendedToy(ToySimulator):
+    """toy-gaussian with the statistic CONSTANT appended after its four."""
+
+    stat_names = ToySimulator.stat_names + ("constant",)
+
+    def __init__(self):
+        super().__init__("gaussian")
+
+    def simulate(self, theta, rng):
+        return np.append(super().simulate(theta, rng), CONSTANT)
+
+    def simulate_rows(self, thetas, rng):
+        rows = super().simulate_rows(thetas, rng)
+        return np.column_stack([rows, np.full(len(rows), CONSTANT)])
+
+
+def test_an_appended_constant_statistic_keeps_every_byte_of_both_statistics():
+    table = toy_table()
+    appended = with_stats(
+        table,
+        np.column_stack([table.stats, np.full(table.n, CONSTANT)]),
+        ConstantAppendedToy.stat_names,
+    )
+    observed = ObservedStats(stat_names=table.stat_names, values=observed_values(table))
+    # The observed value is not the constant, so a column that was not really
+    # dropped would add to the distances.
+    appended_observed = ObservedStats(
+        stat_names=appended.stat_names, values=np.append(observed_values(table), CONSTANT + 1)
+    )
+    with pytest.warns(UserWarning, match="dropping constant statistics"):
+        prior = gfit(appended, appended_observed, RATE, 200, seed=5)
+    assert result_json(prior) == result_json(gfit(table, observed, RATE, 200, seed=5))
+
+    with pytest.warns(UserWarning, match="dropping constant statistics"):
+        post = gfit_post(appended, appended_observed, RATE, ConstantAppendedToy(), 50, 40, seed=6)
+    expected = gfit_post(table, observed, RATE, ToySimulator("gaussian"), 50, 40, seed=6)
+    assert result_json(post) == result_json(expected)
+
+
+@pytest.mark.parametrize("statistic", ["prior", "post"])
+def test_more_datasets_keep_the_first_p_values(statistic):
+    config = dict(
+        null_model="toy-gaussian", alt_model="toy-laplace", statistic=statistic,
+        n_sims=2000, M=40, n_prime=30, master_seed=3,
+    )
+    few = run_power(PowerStudyConfig(n_datasets=10, **config))
+    more = run_power(PowerStudyConfig(n_datasets=25, **config))
+    assert more.p_values[:10].tobytes() == few.p_values.tobytes()

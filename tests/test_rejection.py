@@ -122,19 +122,6 @@ def test_boundary_ties_break_by_lower_row_index():
     assert accepted.indices.tolist() == [0, 1, 2]
 
 
-def test_observed_stats_are_aligned_by_name(rng):
-    table = make_table(rng.standard_normal((10, 2)), stat_names=["x", "y"])
-    scaling = fit_scaling(table)
-    vec = rng.standard_normal(2)
-    from abcgof import ObservedStats
-
-    direct = reject(table, vec, scaling, rate=0.5)
-    swapped = reject(
-        table, ObservedStats(stat_names=["y", "x"], values=vec[::-1]), scaling, rate=0.5
-    )
-    assert direct.indices.tolist() == swapped.indices.tolist()
-
-
 # --- properties ---------------------------------------------------------------------
 
 
