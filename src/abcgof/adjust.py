@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReferenceTable, ScalingVector
+from .core import ReferenceTable, ScalingVector, check_statistic_lengths
 from .rejection import AcceptanceSet
 
 # Relative tolerance for declaring the weighted normal-equations matrix
@@ -161,10 +161,12 @@ def adjusted_posterior(
     interval-constrained parameters inside their support; everything else is
     adjusted on its raw scale.
     """
+    observed = np.asarray(observed, dtype=float)
+    check_statistic_lengths(table.n_stats, observed.size, scaling)
     kept = scaling.kept
     scales = scaling.scales[kept]
     std_stats = table.stats[accepted.indices][:, kept] / scales
-    std_observed = np.asarray(observed, dtype=float)[kept] / scales
+    std_observed = observed[kept] / scales
 
     transforms = tuple(transforms)
     if transforms and len(transforms) != table.n_params:

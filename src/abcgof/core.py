@@ -198,6 +198,15 @@ def fit_scaling(table: ReferenceTable) -> ScalingVector:
     return ScalingVector(scales=scales, dropped=dropped)
 
 
+def check_statistic_lengths(matrix: int, vector: int, scaling: ScalingVector) -> None:
+    """Refuse a statistic vector whose length is not the matrix's and the scaling's."""
+    if matrix != vector or vector != scaling.scales.size:
+        raise ValueError(
+            f"statistic length mismatch: matrix has {matrix}, vector has "
+            f"{vector}, scaling has {scaling.scales.size}"
+        )
+
+
 def scaled_distances(stats: np.ndarray, vec: np.ndarray, scaling: ScalingVector) -> np.ndarray:
     """Row-wise scaled Euclidean distances from each row of `stats` to `vec`.
 
@@ -210,11 +219,7 @@ def scaled_distances(stats: np.ndarray, vec: np.ndarray, scaling: ScalingVector)
     """
     stats = np.asarray(stats, dtype=float)
     vec = np.asarray(vec, dtype=float).ravel()
-    if stats.shape[1] != vec.size or vec.size != scaling.scales.size:
-        raise ValueError(
-            f"statistic length mismatch: matrix has {stats.shape[1]}, vector has "
-            f"{vec.size}, scaling has {scaling.scales.size}"
-        )
+    check_statistic_lengths(stats.shape[1], vec.size, scaling)
     kept = scaling.kept
     diff = (stats[:, kept] - vec[kept]) / scaling.scales[kept]
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))

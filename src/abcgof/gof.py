@@ -30,8 +30,8 @@ from .core import (
     mad,
     scaled_distances,
 )
-from .parallel import children, parallel_map, seeded_map
-from .rejection import accepted_count, reject
+from .parallel import children, seeded_map
+from .rejection import accepted_count, mean_accepted_distances, reject
 
 STATISTIC_KINDS = ("prior", "post")
 
@@ -189,9 +189,14 @@ def d_prior(
     rate: float,
     exclude: int | None = None,
 ) -> float:
-    """Mean scaled distance from the observed statistics to the accepted rows."""
-    accepted = reject(table, observed, scaling, rate, exclude=exclude)
-    return float(accepted.distances.mean())
+    """Mean scaled distance from the observed statistics to the accepted rows.
+
+    These are the rows :func:`abcgof.rejection.reject` accepts; the value is
+    computed by :func:`abcgof.rejection.mean_accepted_distances`.
+    """
+    excluded = None if exclude is None else [exclude]
+    query = np.reshape(np.asarray(observed, dtype=float), (1, -1))
+    return float(mean_accepted_distances(table, query, scaling, rate, excluded)[0])
 
 
 def null_distribution_prior(
@@ -206,13 +211,13 @@ def null_distribution_prior(
     M distinct rows are chosen uniformly without replacement (all rows when
     M equals the table size, with no randomness consumed), each is treated
     as the observed data, and the statistic is computed on the remaining
-    rows. The scaling is the global one, not refit per replicate.
+    rows. The scaling is the global one, not refit per replicate. Value j is
+    ``d_prior(table, table.stats[rows[j]], scaling, rate, exclude=rows[j])``,
+    all M computed in the calling process by one
+    :func:`abcgof.rejection.mean_accepted_distances` call.
     """
     rows = _pseudo_observed_rows(table.n, M, seed)
-    values = parallel_map(
-        lambda r: d_prior(table, table.stats[r], scaling, rate, exclude=int(r)), rows
-    )
-    return np.asarray(values, dtype=float)
+    return mean_accepted_distances(table, table.stats[rows], scaling, rate, exclude=rows)
 
 
 def _pseudo_observed_rows(n: int, M: int, seed) -> np.ndarray:

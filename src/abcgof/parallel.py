@@ -69,7 +69,9 @@ def children(seed, n: int) -> list[np.random.SeedSequence]:
 def parallel_map(fn, items, threads: int = 1) -> list:
     """``[fn(item) for item in items]``, run serially.
 
-    `threads` is ignored; it stays only because perfbench's tracer passes it.
+    Its only caller in the package is :func:`_run_block`; it stays a name of
+    its own because perfbench's tracer wraps it, and `threads` is ignored,
+    kept only because that tracer passes it.
     """
     return [fn(item) for item in items]
 

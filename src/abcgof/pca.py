@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, ReferenceTable, ScalingVector, tsv_text
+from .core import DataError, ReferenceTable, ScalingVector, check_statistic_lengths, tsv_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +49,7 @@ def pca_fit(table: ReferenceTable, observed, scaling: ScalingVector) -> PcaProje
     if kept.size < 2:
         raise DataError("PCA needs at least 2 usable statistics")
     vec = np.asarray(observed, dtype=float)
+    check_statistic_lengths(table.n_stats, vec.size, scaling)
 
     standardized = table.stats[:, kept] / scaling.scales[kept]
     mean = standardized.mean(axis=0)

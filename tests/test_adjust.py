@@ -232,3 +232,14 @@ def test_posterior_sample_validation():
         PosteriorSample(params=np.ones((2, 1)), weights=[0.4, 0.4])
     with pytest.raises(ValueError, match="nonnegative"):
         PosteriorSample(params=np.ones((2, 1)), weights=[1.5, -0.5])
+
+
+@pytest.mark.parametrize("length", [2, 7])
+def test_an_observed_vector_of_another_length_is_refused(rng, length):
+    # A longer vector used to be cut to the table's first k statistics.
+    table = make_table(rng.standard_normal((40, 3)))
+    scaling = fit_scaling(table)
+    accepted = reject(table, np.zeros(3), scaling, rate=0.5)
+    message = f"statistic length mismatch: matrix has 3, vector has {length}"
+    with pytest.raises(ValueError, match=message):
+        adjusted_posterior(table, accepted, np.zeros(length), scaling)

@@ -10,13 +10,17 @@ is as exact under powers of two. Reordering the columns, names included,
 changes only the order of each distance's sum. A constant statistic has zero
 MAD, so it is dropped from every distance and from the regression. Each study
 dataset has its own stream and all share one null, so more datasets keep the
-first ones' P-values.
+first ones' P-values. A replicate column whose MAD is zero takes the table's
+scale, which scales with the column too, so power-of-two scaling keeps the
+posterior study's P-values only if that fallback works.
 """
 
 import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcgof import (
     DataError,
@@ -24,13 +28,18 @@ from abcgof import (
     PowerStudyConfig,
     ReferenceTable,
     build_reference_table,
+    fit_scaling,
     get_simulator,
     gfit,
     gfit_post,
+    null_distribution_post,
+    posterior_replicates,
+    ppc_report,
     run_power,
 )
-from abcgof.core import json_text
+from abcgof.core import json_text, mad
 from abcgof.models import ToySimulator
+from abcgof.parallel import children
 
 from conftest import CallLog
 
@@ -220,3 +229,83 @@ def test_more_datasets_keep_the_first_p_values(statistic):
     few = run_power(PowerStudyConfig(n_datasets=10, **config))
     more = run_power(PowerStudyConfig(n_datasets=25, **config))
     assert more.p_values[:10].tobytes() == few.p_values.tobytes()
+
+
+DETECTION_LIMIT = -1.0
+
+
+class CensoredToy(ToySimulator):
+    """A toy model with a fifth statistic, the sample mean censored at DETECTION_LIMIT.
+
+    A mean below the limit is reported as the limit. Every statistic is then
+    multiplied by its entry of `factors`.
+    """
+
+    stat_names = ToySimulator.stat_names + ("censored_mean",)
+
+    def __init__(self, family, factors=(1.0,) * 5):
+        super().__init__(family)
+        self.factors = np.asarray(factors, dtype=float)
+
+    def simulate(self, theta, rng):
+        return self.simulate_rows([theta], rng)[0]
+
+    def simulate_rows(self, thetas, rng):
+        rows = super().simulate_rows(thetas, rng)
+        censored = np.maximum(rows[:, 0], DETECTION_LIMIT)
+        return np.column_stack([rows, censored]) * self.factors
+
+
+CENSORED_STUDY = dict(n_sims=2000, n_datasets=10, acceptance_rate=RATE, M=10, n_prime=30,
+                      master_seed=7)
+
+
+def censored_study(statistic, factors) -> np.ndarray:
+    config = PowerStudyConfig(
+        null_model=CensoredToy("gaussian", factors), alt_model=CensoredToy("laplace", factors),
+        statistic=statistic, **CENSORED_STUDY,
+    )
+    return run_power(config).p_values
+
+
+def censored_ppc(factors) -> list:
+    sim = CensoredToy("gaussian", factors)
+    table = build_reference_table(sim, CENSORED_STUDY["n_sims"], 4)
+    observed = ObservedStats(stat_names=sim.stat_names, values=table.stats[3] * 1.25)
+    replicates = posterior_replicates(
+        table, observed.values, fit_scaling(table), RATE, sim, 200, np.random.default_rng(5)
+    )
+    report = ppc_report(replicates, observed)
+    return [(c.lower_tail, c.upper_tail, c.two_sided, c.outside_range)
+            for c in report.per_stat.values()]
+
+
+@functools.lru_cache(maxsize=None)
+def unscaled_censored(what):
+    return censored_ppc(np.ones(5)) if what == "ppc" else censored_study(what, np.ones(5))
+
+
+@pytest.mark.filterwarnings("ignore:singular regression design")
+def test_the_censored_post_study_falls_back_to_the_table_scale():
+    # The study below exercises replicate_scaling's fallback: at this seed,
+    # most of the null's pooled replicates have a mean below the limit, so
+    # their censored column has zero MAD, where the table's has not.
+    sim = CensoredToy("gaussian")
+    table_seed, null_seed, _ = children(CENSORED_STUDY["master_seed"], 3)
+    table = build_reference_table(sim, CENSORED_STUDY["n_sims"], table_seed)
+    scaling = fit_scaling(table)
+    null = null_distribution_post(
+        table, scaling, RATE, sim, CENSORED_STUDY["n_prime"], CENSORED_STUDY["M"], null_seed
+    )
+    assert scaling.scales[4] > 0 and mad(null.pooled[:, 4]) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:singular regression design")  # censored neighbours
+@given(st.lists(st.integers(-4, 4), min_size=5, max_size=5))
+@settings(max_examples=6, deadline=None)
+def test_power_of_two_column_scaling_keeps_ppc_tails_and_study_p_values(exponents):
+    factors = 2.0 ** np.array(exponents)
+    assert censored_ppc(factors) == unscaled_censored("ppc")
+    for statistic in ("prior", "post"):
+        scaled = censored_study(statistic, factors)
+        assert scaled.tobytes() == unscaled_censored(statistic).tobytes()

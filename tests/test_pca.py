@@ -198,3 +198,12 @@ def test_convex_hull_matches_the_numpy_scalar_chain_byte_for_byte():
         got, want = convex_hull(pts), numpy_scalar_hull(pts)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("length", [2, 5])
+def test_an_observed_vector_of_another_length_is_refused(rng, length):
+    # A longer vector used to be cut to the table's first k statistics.
+    table = make_table(rng.standard_normal((40, 3)))
+    message = f"statistic length mismatch: matrix has 3, vector has {length}"
+    with pytest.raises(ValueError, match=message):
+        pca_fit(table, np.zeros(length), fit_scaling(table))

@@ -1,16 +1,19 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abcgof import fit_scaling, reject
+from abcgof import fit_scaling, null_distribution_prior, reject, rejection
 from abcgof.core import ScalingVector, scaled_distances
-from abcgof.rejection import accepted_count
+from abcgof.gof import d_prior
+from abcgof.rejection import accepted_count, mean_accepted_distances
 
 from conftest import make_table
+from prior_oracle import d_prior_oracle, null_prior_oracle
 
 
 # --- independent oracle: full sort over plainly computed distances ---------------
@@ -201,3 +204,120 @@ def test_row_permutation_keeps_the_accepted_distances(case):
         dist[exclude] = np.inf
     if np.count_nonzero(dist <= a.distances[-1]) == len(a):  # no tie at the boundary
         assert set(perm[b.indices]) == set(a.indices)
+
+
+# --- the prior statistic's kernel against one rejection per query ---------------------
+
+
+def block_rows(table, rows):
+    """Set the kernel's block budget so that each block holds `rows` queries."""
+    return mock.patch.object(rejection, "DISTANCE_BLOCK_BYTES", 8 * table.n * rows)
+
+
+def float_bytes(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def prior_cases(draw):
+    """A table whose values tie often, a scaling with dropped columns, and the null's settings.
+
+    Statistics are small integers, values rounded to one decimal, or wide
+    floats. The rate may keep every row (so a leave-one-out rejection keeps
+    n - 1) or too few (so the count clamps to 1). Blocks hold 1 to M + 1 queries.
+    """
+    n, k = draw(st.integers(2, 24)), draw(st.integers(1, 4))
+    value = draw(st.sampled_from([
+        st.integers(-3, 3).map(float),
+        st.floats(-5, 5).map(lambda x: round(x, 1)),
+        st.floats(-1e3, 1e3, allow_nan=False),
+    ]))
+    stats = np.array([[draw(value) for _ in range(k)] for _ in range(n)])
+    dropped = draw(st.sets(st.integers(0, k - 1), max_size=k - 1))
+    scales = [0.0 if j in dropped else draw(st.sampled_from([1.0, 0.5, 3.0]) | st.floats(0.01, 10))
+              for j in range(k)]
+    scaling = ScalingVector(scales=scales, dropped=dropped)
+    rate = draw(st.just(1.0) | st.floats(0.001, 1.0) | st.floats(0.001, 0.999 / n))
+    M = draw(st.integers(1, n))
+    rows = draw(st.integers(1, M + 1))
+    return make_table(stats), scaling, rate, M, rows, draw(st.integers(0, 2**32 - 1))
+
+
+@given(prior_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_d_prior_gives_the_bytes_of_one_rejection(case, data):
+    table, scaling, rate, _, rows, _ = case
+    row = data.draw(st.integers(0, table.n - 1))
+    observed = data.draw(st.sampled_from([
+        table.stats[row].tolist(),  # ties with row `row` at distance 0
+        (table.stats[row] + 0.5).tolist(),
+    ]))
+    exclude = data.draw(st.none() | st.integers(0, table.n - 1))
+    with warnings.catch_warnings(), block_rows(table, rows):
+        warnings.simplefilter("ignore")  # a rate keeping no rows clamps to one
+        got = d_prior(table, observed, scaling, rate, exclude=exclude)
+        want = d_prior_oracle(table, observed, scaling, rate, exclude=exclude)
+    assert float_bytes(got) == float_bytes(want)
+
+
+@given(prior_cases())
+@settings(max_examples=300, deadline=None)
+def test_prior_null_gives_the_bytes_of_one_rejection_per_row(case):
+    table, scaling, rate, M, rows, seed = case
+    with warnings.catch_warnings(), block_rows(table, rows):
+        warnings.simplefilter("ignore")
+        got = null_distribution_prior(table, scaling, rate, M, seed)
+        want = null_prior_oracle(table, scaling, rate, M, seed)
+    assert float_bytes(got) == float_bytes(want)
+
+
+@pytest.mark.parametrize(
+    "rows, M",
+    [(1, 12), (4, 7), (4, 8), (4, 9), (5, 12)],
+    ids=["one-row-blocks", "boundary-one-before", "boundary-at", "boundary-one-after", "M=n"],
+)
+@pytest.mark.parametrize("rate", [0.25, 1.0])
+def test_prior_null_across_block_boundaries(rows, M, rate):
+    # Rounded values tie often; rate 1.0 keeps n - 1 rows in every leave-one-out query.
+    stats = np.round(np.random.default_rng(4).standard_normal((12, 3)), 1)
+    table = make_table(stats)
+    scaling = fit_scaling(table)
+    with block_rows(table, rows):
+        got = null_distribution_prior(table, scaling, rate, M, seed=9)
+    assert float_bytes(got) == float_bytes(null_prior_oracle(table, scaling, rate, M, 9))
+
+
+def test_two_row_table_and_list_input():
+    table = make_table([[1.0, 2.0], [4.0, 6.0]])
+    scaling = ScalingVector(scales=[1.5, 0.5], dropped=frozenset())
+    for rate in (0.5, 1.0):
+        assert float_bytes(null_distribution_prior(table, scaling, rate, 2, seed=0)) == (
+            float_bytes(null_prior_oracle(table, scaling, rate, 2, 0))
+        )
+        for exclude in (None, 0, 1):
+            got = d_prior(table, [2.0, 3.0], scaling, rate, exclude=exclude)
+            want = d_prior_oracle(table, [2.0, 3.0], scaling, rate, exclude=exclude)
+            assert float_bytes(got) == float_bytes(want)
+
+
+def test_kernel_errors_keep_their_messages():
+    table = make_table(np.arange(10.0).reshape(5, 2))
+    scaling = fit_scaling(table)
+    with pytest.raises(ValueError, match="statistic length mismatch: matrix has 2, vector has 3"):
+        d_prior(table, [0.0, 1.0, 2.0], scaling, 0.5)
+    for exclude in (5, -1):
+        with pytest.raises(ValueError, match=f"exclude index {exclude} out of range for 5 rows"):
+            d_prior(table, [0.0, 1.0], scaling, 0.5, exclude=exclude)
+    with pytest.raises(ValueError, match="exclude index 7 out of range for 5 rows"):
+        mean_accepted_distances(table, table.stats[:3], scaling, 0.5, exclude=[0, 7, 9])
+
+
+def test_the_clamp_warning_is_issued_once_per_null():
+    table = ramp_table()
+    scaling = fit_scaling(table)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        null_distribution_prior(table, scaling, rate=0.01, M=10, seed=0)
+    assert [str(w.message) for w in caught] == [
+        "acceptance rate 0.01 keeps no rows out of 10; clamping to 1"
+    ]
