@@ -39,12 +39,14 @@ python -c "from abcgof import *"
 step "Unit tests"
 python -m pytest -q -m "not acceptance" --durations=10
 
-# The prior statistic's kernel sums explicit products column by column, so its
-# bytes, and the golden digests these files pin, must not depend on numpy's
-# SIMD dispatch: run them with numpy's AVX-512 kernels turned off.
-step "Unit tests without AVX-512: core, gof, rejection and metamorphic tests"
+# Every scaled distance (reject, both statistics, ppc and the regression
+# adjustment's weights) sums explicit products column by column, so its bytes,
+# and the golden digests these files pin, must not depend on numpy's SIMD
+# dispatch: run them with numpy's AVX-512 kernels turned off.
+step "Unit tests without AVX-512: core, gof, rejection, metamorphic, adjust, ppc, pca and harness tests"
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" python -m pytest -q \
-  tests/test_core.py tests/test_gof.py tests/test_rejection.py tests/test_metamorphic.py
+  tests/test_core.py tests/test_gof.py tests/test_rejection.py tests/test_metamorphic.py \
+  tests/test_adjust.py tests/test_ppc.py tests/test_pca.py tests/test_harness.py
 
 # Again at an affinity of one CPU, so seeded_map's serial path runs at real affinity.
 step "Worker processes at one CPU: tests/test_parallel.py under taskset -c 0"

@@ -207,22 +207,36 @@ def check_statistic_lengths(matrix: int, vector: int, scaling: ScalingVector) ->
         )
 
 
-def scaled_distances(stats: np.ndarray, vec: np.ndarray, scaling: ScalingVector) -> np.ndarray:
-    """Row-wise scaled Euclidean distances from each row of `stats` to `vec`.
+def _squared_distance_blocks(stats, queries, scaling: ScalingVector, rows: int):
+    """Yield ``(lo, block)``: squared scaled distances of ``queries[lo:lo + rows]`` to each row.
 
-    The pinned output bytes depend on the summation order. For two or more
-    rows, ``stats[:, kept]`` (fancy indexing on axis 1) returns an F-ordered
-    copy, on which ``einsum`` sums the squares column by column in kept
-    order: ``sqrt(((t0*t0) + t1*t1) + ...)``. Skipping that selection when
-    no column is dropped would change the bytes. A single row is contiguous
-    in both orders, and einsum may reduce it in another order.
+    The package's one distance sum. With the kept columns copied once per call,
+    each ``((x - v) / s)`` is squared and added in place in kept column order,
+    ``((t0*t0) + t1*t1) + ...``, for any number of rows; pinned bytes rely on it.
     """
     stats = np.asarray(stats, dtype=float)
-    vec = np.asarray(vec, dtype=float).ravel()
-    check_statistic_lengths(stats.shape[1], vec.size, scaling)
+    check_statistic_lengths(stats.shape[1], queries.shape[1], scaling)
     kept = scaling.kept
-    diff = (stats[:, kept] - vec[kept]) / scaling.scales[kept]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    columns = np.ascontiguousarray(stats[:, kept].T)
+    for lo in range(0, len(queries), rows):
+        block = queries[lo:lo + rows, kept]
+        total = np.empty((len(block), len(stats)))
+        term = np.empty_like(total)
+        for c, (column, values, scale) in enumerate(zip(columns, block.T, scaling.scales[kept])):
+            out = total if c == 0 else term
+            np.subtract(column, values[:, None], out=out)
+            out /= scale
+            out *= out
+            if c > 0:
+                total += term
+        yield lo, total
+
+
+def scaled_distances(stats: np.ndarray, vec: np.ndarray, scaling: ScalingVector) -> np.ndarray:
+    """Row-wise scaled Euclidean distances from each row of `stats` to `vec`."""
+    query = np.asarray(vec, dtype=float).reshape(1, -1)
+    _, squared = next(_squared_distance_blocks(stats, query, scaling, rows=1))
+    return np.sqrt(squared[0])
 
 
 def distance(a, b, scaling: ScalingVector) -> float:
@@ -230,11 +244,9 @@ def distance(a, b, scaling: ScalingVector) -> float:
 
     Coordinates are divided by their MAD scale; dropped coordinates are
     ignored. Symmetric, and zero iff the vectors agree on every kept
-    coordinate.
+    coordinate: the bytes of `a`'s row in `scaled_distances`.
     """
-    a = np.asarray(a, dtype=float).ravel()
-    # Two rows: a single row is summed in another order (see scaled_distances).
-    return float(scaled_distances(np.vstack([a, a]), b, scaling)[0])
+    return float(scaled_distances(np.asarray(a, dtype=float).reshape(1, -1), b, scaling)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -195,8 +195,7 @@ def d_prior(
     computed by :func:`abcgof.rejection.mean_accepted_distances`.
     """
     excluded = None if exclude is None else [exclude]
-    query = np.reshape(np.asarray(observed, dtype=float), (1, -1))
-    return float(mean_accepted_distances(table, query, scaling, rate, excluded)[0])
+    return float(mean_accepted_distances(table, observed, scaling, rate, excluded)[0])
 
 
 def null_distribution_prior(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReferenceTable, ScalingVector, check_statistic_lengths, scaled_distances
+from .core import ReferenceTable, ScalingVector, _squared_distance_blocks, scaled_distances
 
 # Bytes of squared distances held per block by `mean_accepted_distances`.
 # Of 64 KiB to 2 MiB, 256 and 512 KiB ran fastest (a 10 000-row null), and
@@ -56,6 +56,26 @@ def accepted_count(rate: float, n_effective: int) -> int:
     return count
 
 
+def _accepted_keep(rate: float, n: int, exclude, shape: tuple = ()):
+    """The number of rows to accept, and `exclude` as a checked array of `shape`.
+
+    Excluded rows must be integers, not bools, in [0, n). The count is
+    floor(rate * n), clamped to at least 1 and, with an exclusion, to n - 1.
+    """
+    count = accepted_count(rate, n)
+    if exclude is None:
+        return count, None
+    rows = np.asarray(exclude)
+    if rows.shape != shape:
+        raise ValueError(f"exclude has shape {rows.shape}, not {shape}")
+    if rows.size and rows.dtype.kind not in "iu":
+        raise ValueError(f"exclude index {rows.flat[0]} is not an integer row index")
+    outside = rows[(rows < 0) | (rows >= n)]
+    if outside.size:
+        raise ValueError(f"exclude index {outside[0]} out of range for {n} rows")
+    return min(count, n - 1), rows
+
+
 def reject(
     table: ReferenceTable,
     observed,
@@ -75,17 +95,11 @@ def reject(
     Selection is a partial (k-smallest) selection rather than a full sort;
     tables with millions of rows stay cheap.
     """
-    count = accepted_count(rate, table.n)
+    keep, exclude = _accepted_keep(rate, table.n, exclude)
     dist = scaled_distances(table.stats, observed, scaling)
-
-    n_effective = table.n
     if exclude is not None:
-        if not 0 <= exclude < table.n:
-            raise ValueError(f"exclude index {exclude} out of range for {table.n} rows")
         dist[exclude] = np.inf
-        n_effective -= 1
 
-    keep = min(count, n_effective)
     boundary = np.partition(dist, keep - 1)[keep - 1]
     below = np.flatnonzero(dist < boundary)
     ties = np.flatnonzero(dist == boundary)
@@ -112,44 +126,18 @@ def mean_accepted_distances(
     may not select.
 
     Queries are processed in blocks of ``DISTANCE_BLOCK_BYTES`` of squared
-    distances. Within a block the squares are summed column by column in
-    kept order, as :func:`abcgof.core.scaled_distances` sums them; only the
+    distances, summed as for :func:`abcgof.core.scaled_distances`; only the
     accepted ones are partitioned out, rooted and sorted, since a correctly
     rounded square root preserves order.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    check_statistic_lengths(table.n_stats, queries.shape[1], scaling)
-    count = accepted_count(rate, table.n)
-    n_effective = table.n
-    if exclude is not None:
-        exclude = np.asarray(exclude, dtype=int).ravel()
-        if exclude.size != len(queries):
-            raise ValueError(f"{exclude.size} excluded rows for {len(queries)} queries")
-        outside = (exclude < 0) | (exclude >= table.n)
-        if outside.any():
-            bad = exclude[np.argmax(outside)]
-            raise ValueError(f"exclude index {bad} out of range for {table.n} rows")
-        n_effective -= 1
-    keep = min(count, n_effective)
-
-    kept = scaling.kept
-    columns = [(np.ascontiguousarray(table.stats[:, j]), scaling.scales[j]) for j in kept]
+    keep, exclude = _accepted_keep(rate, table.n, exclude, (len(queries),))
     rows = max(1, DISTANCE_BLOCK_BYTES // (8 * table.n))
     means = np.empty(len(queries))
-    for lo in range(0, len(queries), rows):
-        block = queries[lo:lo + rows, kept]
-        total = np.empty((len(block), table.n))
-        term = np.empty_like(total)
-        for c, (column, scale) in enumerate(columns):
-            out = total if c == 0 else term
-            np.subtract(column, block[:, c:c + 1], out=out)
-            out /= scale
-            out *= out
-            if c > 0:
-                total += term
+    for lo, total in _squared_distance_blocks(table.stats, queries, scaling, rows):
         if exclude is not None:
-            total[np.arange(len(block)), exclude[lo:lo + rows]] = np.inf
+            total[np.arange(len(total)), exclude[lo:lo + rows]] = np.inf
         nearest = np.sqrt(np.partition(total, keep - 1, axis=1)[:, :keep])
         nearest.sort(axis=1)
-        means[lo:lo + len(block)] = np.add.reduce(nearest, axis=1) / keep
+        means[lo:lo + len(total)] = np.add.reduce(nearest, axis=1) / keep
     return means

@@ -210,13 +210,13 @@ def test_scaled_distances_matches_scalar(rng):
     vec = rng.standard_normal(4)
     batch = scaled_distances(table.stats, vec, scaling)
     for i in range(20):
-        assert batch[i] == pytest.approx(distance(table.stats[i], vec, scaling), rel=1e-12)
+        assert batch[i].tobytes() == np.float64(distance(table.stats[i], vec, scaling)).tobytes()
 
 
 @st.composite
 def matrix_row_and_scaling(draw):
-    """Stats of two or more rows, one row index, a vector and a scaling with drops."""
-    n, k = draw(st.integers(2, 5)), draw(st.integers(1, 20))
+    """Stats of one or more rows, one row index, a vector and a scaling with drops."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 20))
     stats = np.array(draw(st.lists(finite_floats, min_size=n * k, max_size=n * k))).reshape(n, k)
     vec = np.array(draw(st.lists(finite_floats, min_size=k, max_size=k)))
     dropped = draw(st.sets(st.integers(0, k - 1), max_size=k - 1))
@@ -234,11 +234,11 @@ def test_distance_gives_the_bytes_of_its_row_in_scaled_distances(case):
 
 def test_scaled_distances_sum_squares_in_kept_column_order():
     # The pinned digests hold sqrt(((t0*t0) + t1*t1) + ...), summed left to right over
-    # the kept columns, not a pairwise or vectorised reduction. (A single row is
-    # contiguous either way, so einsum's order for it is not pinned; see the docstring.)
+    # the kept columns, not a pairwise or vectorised reduction, for any number of rows:
+    # each case also checks its first row alone.
     rng = np.random.default_rng(8)
     for _ in range(300):
-        n, k = int(rng.integers(2, 40)), int(rng.integers(1, 9))
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 9))
         dropped = {j for j in range(k) if rng.random() < 0.3} if k > 1 else set()
         if len(dropped) == k:
             dropped.pop()
@@ -251,6 +251,7 @@ def test_scaled_distances_sum_squares_in_kept_column_order():
             t = (stats[:, j] - vec[j]) / scales[j]
             total = t * t if total is None else total + t * t
         assert scaled_distances(stats, vec, scaling).tobytes() == np.sqrt(total).tobytes()
+        assert scaled_distances(stats[:1], vec, scaling).tobytes() == np.sqrt(total[:1]).tobytes()
 
 
 # --- table and observed validation ------------------------------------------------

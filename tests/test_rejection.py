@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -96,6 +97,22 @@ def test_exclude_validation():
     scaling = fit_scaling(table)
     with pytest.raises(ValueError, match="out of range"):
         reject(table, [0.0], scaling, rate=0.5, exclude=10)
+
+
+@pytest.mark.parametrize("exclude", [True, np.True_, 2.7, np.float64(3.0)])
+def test_an_exclude_that_is_not_an_integer_is_refused_by_reject_and_the_kernel(exclude):
+    # Neither is a row index: numpy would index with a bool as a mask, and cut a float to a row.
+    table = ramp_table()
+    scaling = fit_scaling(table)
+    refused = pytest.raises(
+        ValueError, match=re.escape(f"exclude index {exclude} is not an integer row index")
+    )
+    with refused:
+        reject(table, [0.0], scaling, 0.3, exclude=exclude)
+    with refused:
+        d_prior(table, [0.0], scaling, 0.3, exclude=exclude)
+    with refused:
+        mean_accepted_distances(table, table.stats[:2], scaling, 0.3, exclude=[exclude] * 2)
 
 
 def test_rate_validation():
