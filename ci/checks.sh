@@ -42,11 +42,14 @@ python -m pytest -q -m "not acceptance" --durations=10
 # Every scaled distance (reject, both statistics, ppc and the regression
 # adjustment's weights) sums explicit products column by column, so its bytes,
 # and the golden digests these files pin, must not depend on numpy's SIMD
-# dispatch: run them with numpy's AVX-512 kernels turned off.
-step "Unit tests without AVX-512: core, gof, rejection, metamorphic, adjust, ppc, pca and harness tests"
+# dispatch: run them with numpy's AVX-512 kernels turned off. The table rows
+# that the parallel and coalescent tests compare across worker counts travel
+# as one array, so those run here too.
+step "Unit tests without AVX-512 kernels: the ten files below"
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" python -m pytest -q \
   tests/test_core.py tests/test_gof.py tests/test_rejection.py tests/test_metamorphic.py \
-  tests/test_adjust.py tests/test_ppc.py tests/test_pca.py tests/test_harness.py
+  tests/test_adjust.py tests/test_ppc.py tests/test_pca.py tests/test_harness.py \
+  tests/test_parallel.py tests/test_coalescent.py
 
 # Again at an affinity of one CPU, so seeded_map's serial path runs at real affinity.
 step "Worker processes at one CPU: tests/test_parallel.py under taskset -c 0"

@@ -125,8 +125,11 @@ def require_leave_one_out_rows(rate: float, n: int, n_params: int, n_stats: int)
 def prior_predictive(
     simulator: Simulator, rng: np.random.Generator, row: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One prior draw and its checked simulation, both on `rng`: (theta, stats)."""
-    theta = simulator.draw_prior(rng)
+    """A prior draw of checked length and its checked simulation on `rng`: (theta, stats)."""
+    theta, p = simulator.draw_prior(rng), len(simulator.param_names)
+    if np.shape(theta) != (p,):
+        message = f"draw_prior returned {np.size(theta)} values for {p} parameters"
+        raise SimulationError(theta, ValueError(message), row)
     return theta, simulate_checked(simulator, theta, rng, row)
 
 

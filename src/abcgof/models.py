@@ -8,6 +8,8 @@ set (50 loci) or the site-frequency-spectrum set (100 loci).
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import coalescent, toy
 from .core import ReferenceTable
 from .gof import Simulator, prior_predictive
@@ -38,7 +40,11 @@ class ToySimulator(Simulator):
         return toy.simulate(self.spec, theta, rng)
 
     def simulate_rows(self, thetas, rng):
-        return toy.simulate_rows(self.spec, thetas, rng)
+        # a subclass that changes only `simulate` gets the per-row default
+        own, base = type(self), ToySimulator
+        if own.simulate is base.simulate or own.simulate_rows is not base.simulate_rows:
+            return toy.simulate_rows(self.spec, thetas, rng)
+        return super().simulate_rows(thetas, rng)
 
     def config(self):
         return {
@@ -114,17 +120,14 @@ def build_reference_table(simulator: Simulator, n_sims: int, seed) -> ReferenceT
     """Simulate a reference table: n prior draws and their statistics.
 
     Row i is the prior-predictive draw on stream i of its own seed (see
-    :mod:`abcgof.parallel`). A failing simulator call raises
-    :class:`~abcgof.gof.SimulationError` naming the row and its parameters.
+    :mod:`abcgof.parallel`), one array of its parameters then its statistics.
+    A failing simulator call raises :class:`~abcgof.gof.SimulationError`
+    naming the row and its parameters.
     """
     if n_sims < 2:
         raise ValueError("a reference table needs at least 2 rows")
-    params, stats = zip(*seeded_map(
-        lambda i, rng: prior_predictive(simulator, rng, row=i), seed, n_sims
+    rows = np.array(seeded_map(
+        lambda i, rng: np.concatenate(prior_predictive(simulator, rng, row=i)), seed, n_sims
     ))
-    return ReferenceTable(
-        param_names=simulator.param_names,
-        stat_names=simulator.stat_names,
-        params=params,
-        stats=stats,
-    )
+    params, stats = np.hsplit(rows, [-len(simulator.stat_names)])
+    return ReferenceTable(simulator.param_names, simulator.stat_names, params, stats)

@@ -137,7 +137,7 @@ def _forked_map(fn, root, blocks) -> list:
             _reissue(shown)
             if not ok:
                 raise value
-            results.extend(_unpack(*value))
+            results.extend(value)
         return results
     finally:
         for pipe in pipes:
@@ -180,7 +180,7 @@ def _worker(fn, root, indices, write_fd) -> None:
     try:
         with warnings.catch_warnings(record=True) as shown:
             try:
-                ok, value = True, _pack(_run_block(fn, root, indices))
+                ok, value = True, _stack(_run_block(fn, root, indices))
             except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
                 ok, value = False, exc
         data = _encode(ok, value, [(w.message, w.filename, w.lineno) for w in shown])
@@ -234,19 +234,13 @@ def _reissue(shown: list) -> None:
         )
 
 
-def _pack(results: list):
-    """Results as a few stacked arrays where they allow it, for a cheap pickle.
+def _stack(values: list):
+    """Results as one stacked array where they allow it, for a cheap pickle.
 
     One (n, ...) array pickles in far less time than n small ones. Results
     that are all ndarrays of one dtype and shape (at least 1-D) are stacked,
-    and so is each field of results that are all tuples of one length.
+    and their rows come back as views; any other results come back as sent.
     """
-    if results and all(type(r) is tuple and len(r) == len(results[0]) for r in results):
-        return True, [_stack(list(field)) for field in zip(*results)]
-    return False, _stack(results)
-
-
-def _stack(values: list):
     first = values[0] if values else None
     if type(first) is np.ndarray and first.ndim and all(
         type(v) is np.ndarray and v.dtype == first.dtype and v.shape == first.shape
@@ -254,13 +248,6 @@ def _stack(values: list):
     ):
         return np.stack(values)
     return values
-
-
-def _unpack(tuples: bool, packed) -> list:
-    """The results :func:`_pack` packed; a stacked array's rows come back as views."""
-    if tuples:
-        return list(zip(*(list(field) for field in packed)))
-    return list(packed)
 
 
 def _describe(status: int) -> str:

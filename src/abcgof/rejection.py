@@ -68,8 +68,9 @@ def _accepted_keep(rate: float, n: int, exclude, shape: tuple = ()):
     rows = np.asarray(exclude)
     if rows.shape != shape:
         raise ValueError(f"exclude has shape {rows.shape}, not {shape}")
-    if rows.size and rows.dtype.kind not in "iu":
-        raise ValueError(f"exclude index {rows.flat[0]} is not an integer row index")
+    for cell in np.asarray(exclude, dtype=object).flat:  # [0, True] makes an int array
+        if type(cell) is bool or not isinstance(cell, (int, np.integer)):
+            raise ValueError(f"exclude index {cell} is not an integer row index")
     outside = rows[(rows < 0) | (rows >= n)]
     if outside.size:
         raise ValueError(f"exclude index {outside[0]} out of range for {n} rows")

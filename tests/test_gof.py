@@ -23,7 +23,7 @@ from abcgof import (
     posterior_replicates,
     replicate_scaling,
 )
-from abcgof import adjusted_posterior, get_simulator, gof, parallel, reject, sample_posterior
+from abcgof import adjusted_posterior, get_simulator, gof, parallel, reject, sample_posterior, toy
 from abcgof.core import ScalingVector, scaled_distances
 from abcgof.gof import d_post, d_prior, observed_d_post, simulate_checked
 from abcgof.models import ToySimulator
@@ -554,11 +554,8 @@ def replicates_by_the_loop(table, observed, scaling, rate, simulator, n_prime, r
     return np.array([simulate_checked(simulator, theta, rng) for theta in draws])
 
 
-class BatchedOnly(ToySimulator):
-    """A toy simulator whose per-row path fails: only simulate_rows can succeed."""
-
-    def simulate(self, theta, rng):
-        raise AssertionError("the per-row loop ran")
+def per_row_loop_ran(spec, theta, rng):
+    raise AssertionError("the per-row loop ran")
 
 
 @given(
@@ -573,14 +570,39 @@ def test_batched_replicates_match_the_per_row_loop(family, n_prime, row, seed):
     scaling = fit_scaling(table)
     observed = table.stats[row]
     batched_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batched = posterior_replicates(
-        table, observed, scaling, 0.05, BatchedOnly(family), n_prime, batched_rng
-    )
+    with pytest.MonkeyPatch.context() as patch:  # so only the batch can succeed
+        patch.setattr(toy, "simulate", per_row_loop_ran)
+        batched = posterior_replicates(
+            table, observed, scaling, 0.05, ToySimulator(family), n_prime, batched_rng
+        )
     loop = replicates_by_the_loop(
         table, observed, scaling, 0.05, ToySimulator(family), n_prime, loop_rng
     )
     assert batched.tobytes() == loop.tobytes()
     assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+class Doubled(ToySimulator):
+    """toy-gaussian with every statistic doubled, by an override of `simulate` alone."""
+
+    def __init__(self):
+        super().__init__("gaussian")
+
+    def simulate(self, theta, rng):
+        return 2 * super().simulate(theta, rng)
+
+
+def test_a_subclass_that_overrides_only_simulate_gets_its_replicates_from_it():
+    # The toy batch would give the undoubled model's replicates.
+    sim = Doubled()
+    table = build_reference_table(sim, 300, 8)
+    scaling = fit_scaling(table)
+    observed = table.stats[3]
+    got, want = (
+        replicates(table, observed, scaling, 0.05, sim, 50, np.random.default_rng(1))
+        for replicates in (posterior_replicates, replicates_by_the_loop)
+    )
+    assert got.tobytes() == want.tobytes()
 
 
 class ToyFailingAt(ToySimulator):
@@ -687,3 +709,29 @@ def test_a_short_table_row_names_the_row_and_its_draw(monkeypatch, workers):
         "the simulator returned 3 statistics; the table has 4"
     )
     assert info.value.row == row and info.value.theta.tobytes() == theta.tobytes()
+
+
+class DrawsAnExtraValue(ToySimulator):
+    """toy-gaussian whose prior appends a third value to one parameter draw."""
+
+    def __init__(self, bad):
+        super().__init__("gaussian")
+        self.bad = tuple(bad)
+
+    def draw_prior(self, rng):
+        theta = super().draw_prior(rng)
+        return np.append(theta, 0.0) if tuple(theta) == self.bad else theta
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_wrong_length_draw_names_its_row_and_both_lengths(monkeypatch, workers):
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: workers)
+    row = 29  # in the second worker's block at 2 workers
+    theta = build_reference_table(ToySimulator("gaussian"), 40, 6).params[row]
+    with pytest.raises(SimulationError) as info:
+        build_reference_table(DrawsAnExtraValue(theta), 40, 6)
+    assert str(info.value) == (
+        f"simulator failed at reference-table row {row} for parameters "
+        f"{theta.tolist() + [0.0]}: draw_prior returned 3 values for 2 parameters"
+    )
+    assert info.value.row == row and isinstance(info.value.cause, ValueError)

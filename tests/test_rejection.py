@@ -115,6 +115,15 @@ def test_an_exclude_that_is_not_an_integer_is_refused_by_reject_and_the_kernel(e
         mean_accepted_distances(table, table.stats[:2], scaling, 0.3, exclude=[exclude] * 2)
 
 
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_a_bool_among_integer_rows_is_refused_by_the_kernel(flag):
+    # numpy makes [0, True] an int array, which would exclude rows 0 and 1.
+    table = ramp_table()
+    scaling = fit_scaling(table)
+    with pytest.raises(ValueError, match="exclude index True is not an integer row index"):
+        mean_accepted_distances(table, table.stats[:2], scaling, 0.3, exclude=[0, flag])
+
+
 def test_rate_validation():
     table = ramp_table()
     scaling = fit_scaling(table)
