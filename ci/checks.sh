@@ -44,16 +44,19 @@ python -m pytest -q -m "not acceptance" --durations=10
 # and the golden digests these files pin, must not depend on numpy's SIMD
 # dispatch: run them with numpy's AVX-512 kernels turned off. The table rows
 # that the parallel and coalescent tests compare across worker counts travel
-# as one array, so those run here too.
-step "Unit tests without AVX-512 kernels: the ten files below"
+# as one array, so those run here too, and so does the toy table batch, whose
+# rows must equal the per-row loop's under either dispatch (the Laplace rows
+# take np.log of a whole block's samples at once).
+step "Unit tests without AVX-512 kernels: the eleven files below"
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" python -m pytest -q \
   tests/test_core.py tests/test_gof.py tests/test_rejection.py tests/test_metamorphic.py \
   tests/test_adjust.py tests/test_ppc.py tests/test_pca.py tests/test_harness.py \
-  tests/test_parallel.py tests/test_coalescent.py
+  tests/test_parallel.py tests/test_coalescent.py tests/test_table_batch.py
 
-# Again at an affinity of one CPU, so seeded_map's serial path runs at real affinity.
-step "Worker processes at one CPU: tests/test_parallel.py under taskset -c 0"
-taskset -c 0 python -m pytest -q tests/test_parallel.py
+# Again at an affinity of one CPU, so seeded_blocks' serial path (one block,
+# the whole table in one batch) runs at real affinity.
+step "Worker processes at one CPU: two files under taskset -c 0"
+taskset -c 0 python -m pytest -q tests/test_parallel.py tests/test_table_batch.py
 
 step "Benchmark smoke test (span targets and metrics)"
 python -m pytest -q perfbench/test_smoke.py

@@ -84,7 +84,10 @@ def linear_adjust_matrix(
     an intercept; the fitted slopes beta give the correction
     theta_i - beta . (s_i - s_observed). A rank-deficient design (relative
     tolerance 1e-10 on the normal-equations matrix) or an all-zero-distance
-    acceptance set leaves the parameters unadjusted.
+    acceptance set leaves the parameters unadjusted: the posterior is then
+    the kernel-weighted rejection posterior. The coalescent SFS statistic
+    set is always rank-deficient, because its `snp_total` is the sum of its
+    bins, so its posteriors are always the rejection posterior.
     """
     theta = np.asarray(theta, dtype=float)
     std_stats = np.asarray(std_stats, dtype=float)

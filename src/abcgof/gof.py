@@ -67,9 +67,23 @@ class Simulator(abc.ABC):
         """One statistic vector per row of `thetas`, simulated in turn on `rng`.
 
         An override must give the same bytes, and leave `rng` in the same
-        state, as this default: :meth:`simulate` called row by row.
+        state, as this default: :meth:`simulate` called row by row. It is
+        used only where its class is, or derives from, the class that defines
+        :meth:`simulate` (:func:`_has_batch`).
         """
         return np.array([self.simulate(theta, rng) for theta in thetas], dtype=float)
+
+    def prior_predictive_rows(self, indices, rng) -> np.ndarray | None:
+        """Reference-table rows `indices` in one batch, or None (this default) for none.
+
+        ``rng(i)`` makes row i's own generator. Row r of the (rows, p + k)
+        result must have the bytes :func:`prior_predictive` gives on
+        ``rng(indices[r])``: the prior draw, then its statistics. An override
+        refuses, by raising, a prior draw of the wrong length, which the
+        assembled rows cannot show. It is used as :meth:`simulate_rows` is;
+        see :func:`table_rows`.
+        """
+        return None
 
     def config(self) -> dict:
         """A JSON-serializable description used in manifests and result echoes."""
@@ -131,6 +145,59 @@ def prior_predictive(
         message = f"draw_prior returned {np.size(theta)} values for {p} parameters"
         raise SimulationError(theta, ValueError(message), row)
     return theta, simulate_checked(simulator, theta, rng, row)
+
+
+# Table rows per batch call: bounds a batch's working memory (the toy batch
+# holds about three float matrices of sample_size columns) for any table size.
+_BATCH_ROWS = 4096
+
+
+def table_rows(simulator: Simulator, indices, rng) -> np.ndarray:
+    """Reference-table rows `indices`: row i is :func:`prior_predictive` on ``rng(i)``.
+
+    Where the simulator's class has a batch of its own (:func:`_has_batch`),
+    one :meth:`Simulator.prior_predictive_rows` call computes each run of up
+    to 4096 rows. If it gives none (None), raises, or returns the wrong shape
+    or a non-finite value, that run's rows are computed one by one from fresh
+    generators, as every row is where there is no batch, and the first
+    failing row raises its :class:`SimulationError`.
+    """
+    if not _has_batch(simulator, "prior_predictive_rows"):
+        return _checked_rows(simulator, indices, rng)
+    return np.concatenate([
+        _batch_rows(simulator, indices[lo:lo + _BATCH_ROWS], rng)
+        for lo in range(0, len(indices), _BATCH_ROWS)
+    ])
+
+
+def _batch_rows(simulator: Simulator, indices, rng) -> np.ndarray:
+    shape = (len(indices), len(simulator.param_names) + len(simulator.stat_names))
+    try:
+        rows = np.asarray(simulator.prior_predictive_rows(indices, rng), dtype=float)
+        if rows.shape == shape and np.isfinite(rows).all():
+            return rows
+    except Exception:  # noqa: BLE001 - the checked loop below reports it
+        pass
+    return _checked_rows(simulator, indices, rng)
+
+
+def _checked_rows(simulator: Simulator, indices, rng) -> np.ndarray:
+    return np.array([np.concatenate(prior_predictive(simulator, rng(i), row=i)) for i in indices])
+
+
+def _has_batch(simulator: Simulator, method: str) -> bool:
+    """Whether the batch `method` belongs to the class whose `simulate` runs, or below it.
+
+    A class that overrides `simulate` below a batch would have its `simulate`
+    skipped by that batch (or, where the batch calls ``super()``, run as well
+    as the batch's own changes), so it gets the per-row loop instead.
+    """
+    for cls in type(simulator).__mro__:
+        if method in vars(cls):
+            return True
+        if "simulate" in vars(cls):
+            return False
+    return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,10 +316,11 @@ def posterior_replicates(
     """Simulate n' statistic vectors from the adjusted posterior for `observed`.
 
     A simulator whose statistics are not the table's raises DataError first.
-    The n' draws are simulated by one :meth:`Simulator.simulate_rows` call.
-    If it raises, or returns the wrong shape or a non-finite row, the draws
-    are simulated again one by one from the same generator state, and the
-    first failing draw raises :class:`SimulationError`.
+    The n' draws are simulated by one :meth:`Simulator.simulate_rows` call
+    when the simulator's class has a batch of its own (:func:`_has_batch`).
+    If it raises, or returns the wrong shape or a non-finite row, or there is
+    no batch, the draws are simulated one by one from the same generator
+    state, and the first failing draw raises :class:`SimulationError`.
     """
     check_model_stats(simulator, table)
     if n_prime < 1:
@@ -262,16 +330,17 @@ def posterior_replicates(
         table, accepted, observed, scaling, transforms=simulator.param_transforms
     )
     draws = sample_posterior(posterior, n_prime, rng)
-    state = rng.bit_generator.state
-    try:
-        replicates = np.asarray(simulator.simulate_rows(draws, rng), dtype=float)
-        if replicates.shape == (n_prime, table.n_stats) and np.isfinite(replicates).all():
-            return replicates
-    except Exception:  # noqa: BLE001 - the checked loop below reports it
-        pass
-    # The loop is the oracle: rerun from the same state, it raises the error
-    # of the first failing draw.
-    rng.bit_generator.state = state
+    if _has_batch(simulator, "simulate_rows"):
+        state = rng.bit_generator.state
+        try:
+            replicates = np.asarray(simulator.simulate_rows(draws, rng), dtype=float)
+            if replicates.shape == (n_prime, table.n_stats) and np.isfinite(replicates).all():
+                return replicates
+        except Exception:  # noqa: BLE001 - the checked loop below reports it
+            pass
+        # The loop is the oracle: rerun from the same state, it raises the
+        # error of the first failing draw.
+        rng.bit_generator.state = state
     return np.array([simulate_checked(simulator, theta, rng) for theta in draws])
 
 

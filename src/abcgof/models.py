@@ -8,12 +8,14 @@ set (50 loci) or the site-frequency-spectrum set (100 loci).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import coalescent, toy
 from .core import ReferenceTable
-from .gof import Simulator, prior_predictive
-from .parallel import seeded_map
+from .gof import Simulator, table_rows
+from .parallel import seeded_blocks
 
 TOY_MODELS = ("toy-gaussian", "toy-laplace")
 MODEL_NAMES = TOY_MODELS + coalescent.LABELS
@@ -39,12 +41,14 @@ class ToySimulator(Simulator):
     def simulate(self, theta, rng):
         return toy.simulate(self.spec, theta, rng)
 
+    # A subclass that overrides `simulate` but not these batches gets the
+    # per-row loops (abcgof.gof._has_batch).
+
     def simulate_rows(self, thetas, rng):
-        # a subclass that changes only `simulate` gets the per-row default
-        own, base = type(self), ToySimulator
-        if own.simulate is base.simulate or own.simulate_rows is not base.simulate_rows:
-            return toy.simulate_rows(self.spec, thetas, rng)
-        return super().simulate_rows(thetas, rng)
+        return toy.simulate_rows(self.spec, thetas, rng)
+
+    def prior_predictive_rows(self, indices, rng):
+        return toy.prior_predictive_rows(self.spec, self.draw_prior, indices, rng)
 
     def config(self):
         return {
@@ -120,14 +124,13 @@ def build_reference_table(simulator: Simulator, n_sims: int, seed) -> ReferenceT
     """Simulate a reference table: n prior draws and their statistics.
 
     Row i is the prior-predictive draw on stream i of its own seed (see
-    :mod:`abcgof.parallel`), one array of its parameters then its statistics.
-    A failing simulator call raises :class:`~abcgof.gof.SimulationError`
+    :mod:`abcgof.parallel`), its parameters then its statistics. The rows are
+    computed one block per worker by :func:`~abcgof.gof.table_rows`. A
+    failing simulator call raises :class:`~abcgof.gof.SimulationError`
     naming the row and its parameters.
     """
     if n_sims < 2:
         raise ValueError("a reference table needs at least 2 rows")
-    rows = np.array(seeded_map(
-        lambda i, rng: np.concatenate(prior_predictive(simulator, rng, row=i)), seed, n_sims
-    ))
+    rows = np.concatenate(seeded_blocks(functools.partial(table_rows, simulator), seed, n_sims))
     params, stats = np.hsplit(rows, [-len(simulator.stat_names)])
     return ReferenceTable(simulator.param_names, simulator.stat_names, params, stats)

@@ -2,12 +2,16 @@
 
 Every task of :func:`seeded_map` owns a pre-derived random stream, so its
 result depends only on its index and the seed, never on the tasks run before
-it or on the process that runs it. The map splits the indices into one
-contiguous block per CPU this process may run on, forks a worker for every
-block but the first, runs the first block itself and collects the workers'
-results, in order, through pipes. The result is the same bytes for any
-number of workers. It runs serially in the calling process when there is one
-CPU, when the platform has no ``os.fork`` and inside a task of another map.
+it or on the process that runs it. :func:`seeded_blocks` splits the indices
+into one contiguous block per CPU this process may run on, forks a worker for
+every block but the first, runs the first block itself and collects the
+workers' results, in order, through pipes. A block function gets its block's
+indices and the maker of each index's stream, so it may compute its rows
+together (the reference table does) while each row keeps its own stream;
+:func:`seeded_map` is the block function that runs one task per index. The
+result is the same bytes for any number of workers. It runs serially in the
+calling process when there is one CPU, when the platform has no ``os.fork``
+and inside a task of another map.
 A worker records the warnings its block raises, and the parent issues them
 again, in task order, so that its filters, its record of warnings already
 shown and its ``catch_warnings`` see what the serial loop gives.
@@ -19,7 +23,8 @@ seed share streams, so give them different children of it. The layout,
 child by child:
 
 - reference table (:func:`abcgof.models.build_reference_table`): row i
-  draws its parameters and simulates on child i of the seed;
+  draws its parameters and simulates on child i of the seed; the rows are
+  computed one block per worker, each row on its own generator;
 - prior null (:func:`abcgof.gof.null_distribution_prior`; ``gfit``): the
   seed itself chooses the M pseudo-observed rows (no randomness if M = n);
 - posterior null (:func:`abcgof.gof.null_distribution_post`): child 0
@@ -42,9 +47,9 @@ import warnings
 
 import numpy as np
 
-# True while this process runs seeded_map tasks, in the parent's own block and
-# in every worker, so that a map inside a task runs serially instead of forking
-# again onto CPUs the outer map already uses.
+# True while this process runs a block of seeded_blocks, the parent's own or a
+# worker's, so that a map inside a task runs serially instead of forking again
+# onto CPUs the outer map already uses.
 _in_task = False
 
 
@@ -69,7 +74,7 @@ def children(seed, n: int) -> list[np.random.SeedSequence]:
 def parallel_map(fn, items, threads: int = 1) -> list:
     """``[fn(item) for item in items]``, run serially.
 
-    Its only caller in the package is :func:`_run_block`; it stays a name of
+    Its only caller in the package is :func:`seeded_map`; it stays a name of
     its own because perfbench's tracer wraps it, and `threads` is ignored,
     kept only because that tracer passes it.
     """
@@ -79,18 +84,36 @@ def parallel_map(fn, items, threads: int = 1) -> list:
 def seeded_map(fn, seed, n: int) -> list:
     """``[fn(i, rng_i) for i in range(n)]``, rng_i a generator on child i of `seed`.
 
-    Runs on up to one worker process per available CPU (see the module
-    docstring); `fn` reaches the workers through ``fork`` and its results
-    come back pickled. A failure raises what the serial loop raises: the
-    exception of the lowest failing index. Every worker has exited and been
-    reaped when this returns or raises.
+    The one-task-per-index case of :func:`seeded_blocks`, so `fn` reaches the
+    workers through ``fork``, its results come back pickled, and a failure
+    raises what the serial loop raises: the exception of the lowest failing
+    index.
+    """
+    def block(indices, rng):
+        return parallel_map(lambda i: fn(i, rng(i)), indices)
+
+    return [result for results in seeded_blocks(block, seed, n) for result in results]
+
+
+def seeded_blocks(block_fn, seed, n: int) -> list:
+    """``block_fn(indices, rng)`` for each contiguous block of ``range(n)``, in order.
+
+    ``rng(i)`` returns a new generator on child i of `seed`, so the result of
+    index i may depend on its own stream only, whichever block holds it.
+    There is one block per worker process, up to one per available CPU (see
+    the module docstring), and ``block_fn`` reaches the workers through
+    ``fork``. A worker's result comes back pickled, a list of same-shape
+    arrays as one stacked array (:func:`_stack`). A failure raises what the
+    serial loop over the blocks raises: the exception of the lowest failing
+    block. Every worker has exited and been reaped when this returns or
+    raises.
     """
     root = _root(seed)
     workers = 1 if _in_task or not hasattr(os, "fork") else min(n, _cpu_count())
     if workers <= 1:
-        return _run_block(fn, root, range(n))
+        return [_run_block(block_fn, root, range(n))]
     bounds = [n * w // workers for w in range(workers + 1)]
-    return _forked_map(fn, root, list(zip(bounds, bounds[1:])))
+    return _forked_map(block_fn, root, list(zip(bounds, bounds[1:])))
 
 
 def _cpu_count() -> int:
@@ -99,17 +122,17 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_block(fn, root, indices) -> list:
-    """The serial loop over `indices`, each task on its own stream."""
+def _run_block(block_fn, root, indices):
+    """One block in this process, index i's generators on child i of `root`."""
     global _in_task
     outer, _in_task = _in_task, True
     try:
-        return parallel_map(lambda i: fn(i, np.random.default_rng(_child(root, i))), indices)
+        return block_fn(indices, lambda i: np.random.default_rng(_child(root, i)))
     finally:
         _in_task = outer
 
 
-def _forked_map(fn, root, blocks) -> list:
+def _forked_map(block_fn, root, blocks) -> list:
     """Fork one worker per block after the first, run the first here, gather in order."""
     pids, pipes = [], []  # pids not yet reaped; read ends, one per worker
     try:
@@ -119,11 +142,11 @@ def _forked_map(fn, root, blocks) -> list:
             try:
                 pid = _fork()
                 if pid == 0:
-                    _worker(fn, root, range(lo, hi), write_fd)  # never returns
+                    _worker(block_fn, root, range(lo, hi), write_fd)  # never returns
                 pids.append(pid)
             finally:
                 os.close(write_fd)  # the worker's copy alone stays open, so EOF means it is done
-        results = _run_block(fn, root, range(*blocks[0]))
+        results = [_run_block(block_fn, root, range(*blocks[0]))]
         for (lo, hi), pipe in zip(blocks[1:], pipes):
             data = pipe.read()
             _, status = os.waitpid(pids[0], 0)
@@ -137,7 +160,7 @@ def _forked_map(fn, root, blocks) -> list:
             _reissue(shown)
             if not ok:
                 raise value
-            results.extend(value)
+            results.append(value)
         return results
     finally:
         for pipe in pipes:
@@ -168,7 +191,7 @@ def _fork() -> int:
         return os.fork()
 
 
-def _worker(fn, root, indices, write_fd) -> None:
+def _worker(block_fn, root, indices, write_fd) -> None:
     """Run one block in a forked child, send (ok, results or exception, warnings), and exit.
 
     The warnings are those the child's filters let through; the parent issues
@@ -180,7 +203,7 @@ def _worker(fn, root, indices, write_fd) -> None:
     try:
         with warnings.catch_warnings(record=True) as shown:
             try:
-                ok, value = True, _stack(_run_block(fn, root, indices))
+                ok, value = True, _stack(_run_block(block_fn, root, indices))
             except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
                 ok, value = False, exc
         data = _encode(ok, value, [(w.message, w.filename, w.lineno) for w in shown])
@@ -234,14 +257,14 @@ def _reissue(shown: list) -> None:
         )
 
 
-def _stack(values: list):
-    """Results as one stacked array where they allow it, for a cheap pickle.
+def _stack(values):
+    """A block's results as one stacked array where they allow it, for a cheap pickle.
 
-    One (n, ...) array pickles in far less time than n small ones. Results
-    that are all ndarrays of one dtype and shape (at least 1-D) are stacked,
-    and their rows come back as views; any other results come back as sent.
+    One (n, ...) array pickles in far less time than n small ones. A list of
+    ndarrays of one dtype and shape (at least 1-D) is stacked, and its items
+    come back as the rows of the array; any other result comes back as sent.
     """
-    first = values[0] if values else None
+    first = values[0] if type(values) is list and values else None
     if type(first) is np.ndarray and first.ndim and all(
         type(v) is np.ndarray and v.dtype == first.dtype and v.shape == first.shape
         for v in values

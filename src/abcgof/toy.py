@@ -83,8 +83,9 @@ def _moments_by_row(samples: np.ndarray) -> np.ndarray:
     sq = dev * dev
     sum_sq = np.add.reduce(sq, axis=1)
     m2 = sum_sq / n
-    m3 = np.add.reduce(sq * dev, axis=1) / n
-    m4 = np.add.reduce(sq * sq, axis=1) / n
+    # the cube and the fourth power reuse the buffers of dev and sq
+    m3 = np.add.reduce(np.multiply(sq, dev, out=dev), axis=1) / n
+    m4 = np.add.reduce(np.multiply(sq, sq, out=sq), axis=1) / n
     moments = np.empty((samples.shape[0], 4))
     moments[:, 0] = mean
     moments[:, 1] = sum_sq / (n - 1)
@@ -93,11 +94,11 @@ def _moments_by_row(samples: np.ndarray) -> np.ndarray:
     return moments
 
 
-def _laplace_sample(rng: np.random.Generator, location, scale, size):
+def _laplace_from_uniform(u, location, scale):
     # Inverse-CDF transform: a sign-symmetric exponential. The guard keeps
     # the measure-zero u == 0 draw off the log singularity. Location and
-    # scale broadcast against `size`, so one call can draw many rows.
-    u = np.maximum(rng.random(size), _TINY_UNIFORM)
+    # scale broadcast against `u`, so one call can transform many rows.
+    u = np.maximum(u, _TINY_UNIFORM)
     return np.where(
         u < 0.5,
         location + scale * np.log(2.0 * u),
@@ -114,7 +115,7 @@ def simulate(spec: ToyModelSpec, theta, rng: np.random.Generator) -> np.ndarray:
         sample = location + np.sqrt(variance) * rng.standard_normal(spec.sample_size)
     else:
         scale = np.sqrt(variance / 2.0)
-        sample = _laplace_sample(rng, location, scale, spec.sample_size)
+        sample = _laplace_from_uniform(rng.random(spec.sample_size), location, scale)
     return sample_moments(sample)
 
 
@@ -127,13 +128,59 @@ def simulate_rows(spec: ToyModelSpec, thetas, rng: np.random.Generator) -> np.nd
     costs less through :func:`simulate`.
     """
     thetas = np.asarray(thetas, dtype=float)
+    _refuse_nonpositive(thetas[:, 1])
+    size = (thetas.shape[0], spec.sample_size)
+    draws = rng.standard_normal(size) if spec.family == "gaussian" else rng.random(size)
+    return _moments_of_draws(spec, draws, thetas)
+
+
+def prior_predictive_rows(spec: ToyModelSpec, draw_prior, indices, rng) -> np.ndarray:
+    """Reference-table rows: (location, variance, four moments) for each index.
+
+    Row r is what ``draw_prior`` then :func:`simulate` give on the generator
+    ``rng(indices[r])``, in the same bytes: each row's generator draws its
+    parameters and fills row r of one (rows, sample_size) matrix, as
+    :func:`simulate` draws its sample, and is dropped. One
+    :func:`_moments_of_draws` call then summarizes the block. A draw that is
+    not two values, or a non-positive variance, raises ValueError.
+    """
+    rows = np.empty((len(indices), 2 + len(STAT_NAMES)))
+    draws = np.empty((len(indices), spec.sample_size))
+    for r, i in enumerate(indices):
+        gen = rng(i)
+        theta = draw_prior(gen)
+        if np.shape(theta) != (2,):
+            raise ValueError(f"draw_prior returned {np.size(theta)} values for 2 parameters")
+        rows[r, :2] = theta
+        if spec.family == "gaussian":
+            gen.standard_normal(out=draws[r])
+        else:
+            gen.random(out=draws[r])
+    _refuse_nonpositive(rows[:, 1])
+    rows[:, 2:] = _moments_of_draws(spec, draws, rows)
+    return rows
+
+
+def _moments_of_draws(spec: ToyModelSpec, draws: np.ndarray, thetas) -> np.ndarray:
+    """The moments of the samples that row r of `draws` gives at parameters `thetas[r]`.
+
+    Row r holds the standard normals or uniforms :func:`simulate` would draw
+    for it. A Gaussian block is scaled in place: ``z *= sqrt(v); z += loc``
+    gives the bytes of ``loc + sqrt(v) * z``.
+    """
     location, variance = thetas[:, 0:1], thetas[:, 1:2]
-    nonpositive = variance[variance <= 0]
+    # An overflow, division by zero or invalid operation here leaves a
+    # non-finite moment, so the caller reruns the rows through the checked
+    # loop, which warns as it always has; the batch itself stays silent.
+    with np.errstate(all="ignore"):
+        if spec.family == "gaussian":
+            draws *= np.sqrt(variance)
+            draws += location
+            return _moments_by_row(draws)
+        return _moments_by_row(_laplace_from_uniform(draws, location, np.sqrt(variance / 2.0)))
+
+
+def _refuse_nonpositive(variances: np.ndarray) -> None:
+    nonpositive = variances[variances <= 0]
     if nonpositive.size:
         raise ValueError(f"variance must be positive, got {nonpositive[0]}")
-    size = (thetas.shape[0], spec.sample_size)
-    if spec.family == "gaussian":
-        samples = location + np.sqrt(variance) * rng.standard_normal(size)
-    else:
-        samples = _laplace_sample(rng, location, np.sqrt(variance / 2.0), size)
-    return _moments_by_row(samples)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from abcgof import ObservedStats, ReferenceTable
+from abcgof.gof import prior_predictive
+from abcgof.parallel import children
 
 
 def make_table(stats, params=None, stat_names=None, param_names=None) -> ReferenceTable:
@@ -50,6 +52,18 @@ class CallLog:
 
     def __eq__(self, other) -> bool:
         return self.entries() == other
+
+
+def table_by_the_loop(simulator, n: int, seed) -> np.ndarray:
+    """The table oracle: `prior_predictive` on each child stream of `seed`, concatenated.
+
+    Returns the (n, p + k) rows, parameters then statistics; the first
+    failing row raises its SimulationError.
+    """
+    return np.array([
+        np.concatenate(prior_predictive(simulator, np.random.default_rng(stream), row=i))
+        for i, stream in enumerate(children(seed, n))
+    ])
 
 
 def make_observed(table: ReferenceTable, values) -> ObservedStats:

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from abcgof import adjusted_posterior, fit_scaling, reject, sample_posterior
+from abcgof import (
+    adjusted_posterior,
+    build_reference_table,
+    fit_scaling,
+    get_simulator,
+    null_distribution_post,
+    reject,
+    sample_posterior,
+)
 from abcgof.adjust import PosteriorSample, kernel_weights
 
 from conftest import make_table
@@ -243,3 +251,27 @@ def test_an_observed_vector_of_another_length_is_refused(rng, length):
     message = f"statistic length mismatch: matrix has 3, vector has {length}"
     with pytest.raises(ValueError, match=message):
         adjusted_posterior(table, accepted, np.zeros(length), scaling)
+
+
+def test_the_sfs_posterior_null_keeps_the_accepted_parameters_in_every_replicate():
+    # `stats_sfs` returns the segregating-site total and then the 19 bins it
+    # sums, so the centered design is rank-deficient for every observed
+    # vector, and each of the null's M regressions returns the accepted rows'
+    # parameters (back through the log / logit transforms): the SFS posterior
+    # is the weighted rejection posterior.
+    sim = get_simulator("bottleneck", stat_set="sfs")
+    table = build_reference_table(sim, 400, 5)
+    assert np.array_equal(table.stats[:, 0], table.stats[:, 1:].sum(axis=1))
+    scaling = fit_scaling(table)
+    rate = 0.08  # 32 accepted rows: p + k + 2 = 26 is the regression's minimum
+    with pytest.warns(UserWarning, match="singular regression design"):
+        null = null_distribution_post(table, scaling, rate, sim, 3, 8, seed=6)
+    for row in null.rows:
+        accepted = reject(table, table.stats[row], scaling, rate, exclude=row)
+        with pytest.warns(UserWarning, match="singular regression design"):
+            posterior = adjusted_posterior(
+                table, accepted, table.stats[row], scaling, transforms=sim.param_transforms
+            )
+        np.testing.assert_allclose(
+            posterior.params, table.params[accepted.indices], rtol=1e-13, atol=0
+        )

@@ -30,7 +30,8 @@ from abcgof.models import ToySimulator
 from abcgof.toy import FAMILIES
 from abcgof.parallel import children
 
-from conftest import CallLog, make_observed, make_table
+from conftest import CallLog, make_observed, make_table, table_by_the_loop
+from test_metamorphic import ScaledToy
 
 
 # --- small simulators for exercising the posterior pipeline ----------------------
@@ -605,6 +606,40 @@ def test_a_subclass_that_overrides_only_simulate_gets_its_replicates_from_it():
     assert got.tobytes() == want.tobytes()
 
 
+class Scaled(ToySimulator):
+    """toy-gaussian overriding `simulate` and `simulate_rows`, each through super()."""
+
+    def __init__(self):
+        super().__init__("gaussian")
+
+    def simulate(self, theta, rng):
+        return super().simulate(theta, rng) * 1.0
+
+    def simulate_rows(self, thetas, rng):
+        return super().simulate_rows(thetas, rng) * 1.0
+
+
+class DoubledScaled(Scaled):
+    """A grandchild of ToySimulator that doubles its statistics in `simulate` alone."""
+
+    def simulate(self, theta, rng):
+        return 2 * super().simulate(theta, rng)
+
+
+def test_a_grandchild_that_overrides_only_simulate_gets_its_replicates_from_it():
+    # Scaled's batch would skip the doubling: the replicates' median variance
+    # would be half the observed one.
+    sim = DoubledScaled()
+    table = build_reference_table(sim, 2000, 1)
+    scaling = fit_scaling(table)
+    observed = table.stats[3]
+    got, want = (
+        replicates(table, observed, scaling, 0.05, sim, 200, np.random.default_rng(1))
+        for replicates in (posterior_replicates, replicates_by_the_loop)
+    )
+    assert got.tobytes() == want.tobytes()
+
+
 class ToyFailingAt(ToySimulator):
     """toy-gaussian that fails (raises or gives a NaN) on one draw, batched or not."""
 
@@ -652,6 +687,22 @@ def test_a_failing_replicate_raises_the_loops_error(failure, position):
 
     assert error(posterior_replicates) == error(replicates_by_the_loop)
     assert error(posterior_replicates)[1] == draws[position].tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    ScaledToy, Doubled, Scaled, DoubledScaled, lambda: ToyFailingAt((0.0, 1.0), "raise"),
+], ids=["ScaledToy", "Doubled", "Scaled", "DoubledScaled", "ToyFailingAt"])
+def test_subclass_tables_and_replicates_have_the_bytes_of_the_checked_per_row_loops(make):
+    sim = make()
+    table = build_reference_table(sim, 300, 8)
+    want = table_by_the_loop(sim, 300, 8)
+    assert np.hstack([table.params, table.stats]).tobytes() == want.tobytes()
+    scaling = fit_scaling(table)
+    got, want = (
+        replicates(table, table.stats[3], scaling, 0.05, sim, 50, np.random.default_rng(1))
+        for replicates in (posterior_replicates, replicates_by_the_loop)
+    )
+    assert got.tobytes() == want.tobytes()
 
 
 class FirstTwoMoments(ToySimulator):

@@ -30,7 +30,7 @@ from abcgof import (
     run_power,
 )
 from abcgof import parallel
-from abcgof.parallel import children, seeded_map
+from abcgof.parallel import children, seeded_blocks, seeded_map
 
 WORKERS = [1, 2, 3]
 
@@ -71,7 +71,9 @@ def table_bytes(table):
     return table.params.tobytes() + table.stats.tobytes()
 
 
-@pytest.mark.parametrize("model, n", [("toy-gaussian", 301), ("bottleneck", 23)])
+@pytest.mark.parametrize("model, n", [
+    ("toy-gaussian", 301), ("toy-laplace", 301), ("bottleneck", 23),
+])
 def test_reference_table_bytes_do_not_depend_on_the_worker_count(cpus, model, n):
     sim = get_simulator(model, stat_set="sfs")
     serial, *forked = each_worker_count(
@@ -129,6 +131,23 @@ def test_results_come_back_with_their_type_shape_and_bytes(cpus, make):
     serial, *forked = each_worker_count(
         cpus, lambda: [described(r) for r in seeded_map(make, 5, 7)])
     assert forked == [serial, serial]
+
+
+@pytest.mark.parametrize("count", WORKERS)
+def test_blocks_are_contiguous_in_order_and_each_index_keeps_its_stream(cpus, count):
+    def block(indices, rng):
+        return [(os.getpid(), i, rng(i).random()) for i in indices]
+
+    cpus(count)
+    blocks = seeded_blocks(block, 5, 8)
+    assert len(blocks) == count and all(blocks)
+    assert [len({pid for pid, _, _ in results}) for results in blocks] == [1] * count
+    assert len({results[0][0] for results in blocks}) == count  # one process per block
+    assert [i for results in blocks for _, i, _ in results] == list(range(8))
+    streams = children(5, 8)
+    assert [value for results in blocks for _, _, value in results] == [
+        np.random.default_rng(stream).random() for stream in streams
+    ]
 
 
 def test_the_real_cpu_count_gives_the_serial_bytes(cpus):
