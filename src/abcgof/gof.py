@@ -91,14 +91,18 @@ class Simulator(abc.ABC):
 
 
 class SimulationError(RuntimeError):
-    """A simulator failed; carries the parameter draw (and table row) that triggered it."""
+    """A simulator failed; carries the parameter draw (and table row) that triggered it.
+
+    An empty `theta` means there is no draw: ``draw_prior`` itself failed.
+    """
 
     def __init__(self, theta, cause: Exception, row: int | None = None):
         self.theta = np.asarray(theta, dtype=float)
         self.cause = cause
         self.row = row
         where = "" if row is None else f" at reference-table row {row}"
-        super().__init__(f"simulator failed{where} for parameters {self.theta.tolist()}: {cause}")
+        what = f"for parameters {self.theta.tolist()}" if self.theta.size else "in draw_prior"
+        super().__init__(f"simulator failed{where} {what}: {cause}")
 
     def __reduce__(self):  # a worker process sends it to the parent pickled
         return type(self), (self.theta, self.cause, self.row)
@@ -140,7 +144,11 @@ def prior_predictive(
     simulator: Simulator, rng: np.random.Generator, row: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """A prior draw of checked length and its checked simulation on `rng`: (theta, stats)."""
-    theta, p = simulator.draw_prior(rng), len(simulator.param_names)
+    try:
+        theta = simulator.draw_prior(rng)
+    except Exception as exc:  # noqa: BLE001 - report the row; there is no draw
+        raise SimulationError((), exc, row) from exc
+    p = len(simulator.param_names)
     if np.shape(theta) != (p,):
         message = f"draw_prior returned {np.size(theta)} values for {p} parameters"
         raise SimulationError(theta, ValueError(message), row)
@@ -172,13 +180,20 @@ def table_rows(simulator: Simulator, indices, rng) -> np.ndarray:
 
 def _batch_rows(simulator: Simulator, indices, rng) -> np.ndarray:
     shape = (len(indices), len(simulator.param_names) + len(simulator.stat_names))
+    rows = _checked_batch(lambda: simulator.prior_predictive_rows(indices, rng), shape)
+    return _checked_rows(simulator, indices, rng) if rows is None else rows
+
+
+def _checked_batch(batch, shape) -> np.ndarray | None:
+    """``batch()`` as a float array of `shape`, or None for the caller's checked loop to rerun.
+
+    None means the batch raised, or gave the wrong shape or a non-finite value.
+    """
     try:
-        rows = np.asarray(simulator.prior_predictive_rows(indices, rng), dtype=float)
-        if rows.shape == shape and np.isfinite(rows).all():
-            return rows
-    except Exception:  # noqa: BLE001 - the checked loop below reports it
-        pass
-    return _checked_rows(simulator, indices, rng)
+        values = np.asarray(batch(), dtype=float)
+    except Exception:  # noqa: BLE001 - the caller's checked loop reports it
+        return None
+    return values if values.shape == shape and np.isfinite(values).all() else None
 
 
 def _checked_rows(simulator: Simulator, indices, rng) -> np.ndarray:
@@ -332,12 +347,11 @@ def posterior_replicates(
     draws = sample_posterior(posterior, n_prime, rng)
     if _has_batch(simulator, "simulate_rows"):
         state = rng.bit_generator.state
-        try:
-            replicates = np.asarray(simulator.simulate_rows(draws, rng), dtype=float)
-            if replicates.shape == (n_prime, table.n_stats) and np.isfinite(replicates).all():
-                return replicates
-        except Exception:  # noqa: BLE001 - the checked loop below reports it
-            pass
+        replicates = _checked_batch(
+            lambda: simulator.simulate_rows(draws, rng), (n_prime, table.n_stats)
+        )
+        if replicates is not None:
+            return replicates
         # The loop is the oracle: rerun from the same state, it raises the
         # error of the first failing draw.
         rng.bit_generator.state = state

@@ -102,11 +102,11 @@ def seeded_blocks(block_fn, seed, n: int) -> list:
     index i may depend on its own stream only, whichever block holds it.
     There is one block per worker process, up to one per available CPU (see
     the module docstring), and ``block_fn`` reaches the workers through
-    ``fork``. A worker's result comes back pickled, a list of same-shape
-    arrays as one stacked array (:func:`_stack`). A failure raises what the
-    serial loop over the blocks raises: the exception of the lowest failing
-    block. Every worker has exited and been reaped when this returns or
-    raises.
+    ``fork``. A worker's result comes back pickled, as ``block_fn`` returned
+    it, so a block's result has the same type whichever process ran it. A
+    failure raises what the serial loop over the blocks raises: the
+    exception of the lowest failing block. Every worker has exited and been
+    reaped when this returns or raises.
     """
     root = _root(seed)
     workers = 1 if _in_task or not hasattr(os, "fork") else min(n, _cpu_count())
@@ -203,7 +203,7 @@ def _worker(block_fn, root, indices, write_fd) -> None:
     try:
         with warnings.catch_warnings(record=True) as shown:
             try:
-                ok, value = True, _stack(_run_block(block_fn, root, indices))
+                ok, value = True, _run_block(block_fn, root, indices)
             except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
                 ok, value = False, exc
         data = _encode(ok, value, [(w.message, w.filename, w.lineno) for w in shown])
@@ -255,22 +255,6 @@ def _reissue(shown: list) -> None:
             # there __main__'s loader raises ImportError when asked for the source
             module_globals=None if in_main else namespace,
         )
-
-
-def _stack(values):
-    """A block's results as one stacked array where they allow it, for a cheap pickle.
-
-    One (n, ...) array pickles in far less time than n small ones. A list of
-    ndarrays of one dtype and shape (at least 1-D) is stacked, and its items
-    come back as the rows of the array; any other result comes back as sent.
-    """
-    first = values[0] if type(values) is list and values else None
-    if type(first) is np.ndarray and first.ndim and all(
-        type(v) is np.ndarray and v.dtype == first.dtype and v.shape == first.shape
-        for v in values
-    ):
-        return np.stack(values)
-    return values
 
 
 def _describe(status: int) -> str:

@@ -150,6 +150,20 @@ def test_blocks_are_contiguous_in_order_and_each_index_keeps_its_stream(cpus, co
     ]
 
 
+def test_a_block_result_keeps_its_type_in_any_process(cpus):
+    # a list of same-shape arrays comes back a list, from a worker as from the parent
+    def block(indices, rng):
+        return [rng(i).random(3) for i in indices]
+
+    def blocks():
+        results = seeded_blocks(block, 5, 9)
+        assert [type(result) for result in results] == [list] * len(results)
+        return b"".join(row.tobytes() for result in results for row in result)
+
+    serial, *forked = each_worker_count(cpus, blocks)
+    assert forked == [serial, serial]
+
+
 def test_the_real_cpu_count_gives_the_serial_bytes(cpus):
     # Under `taskset -c 0` this compares the one-worker path with itself at
     # real affinity; elsewhere it compares forked workers with the serial loop.

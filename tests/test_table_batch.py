@@ -81,6 +81,8 @@ class ToyBadDrawAt(ToySimulator):
         if tuple(theta) not in self.targets:
             return theta
         location, variance = theta
+        if self.bad == "raises":  # no draw reaches the table: the error names the row
+            raise ZeroDivisionError("float division by zero")
         return {
             "short": np.array([location]),
             "long": np.array([location, variance, 0.0]),
@@ -107,7 +109,7 @@ def raised(build) -> tuple:
 
 
 @pytest.mark.parametrize(
-    "bad", ["short", "long", "zero-variance", "negative-variance", "tiny-variance"]
+    "bad", ["short", "long", "zero-variance", "negative-variance", "tiny-variance", "raises"]
 )
 @pytest.mark.parametrize("rows", [(2, 28), (28,)], ids=["first-and-last-block", "last-block"])
 @pytest.mark.parametrize("batch_rows", [gof._BATCH_ROWS, 4])
@@ -120,6 +122,38 @@ def test_a_failing_batch_raises_the_per_row_loops_error(cpus, monkeypatch, bad, 
     for count in WORKERS:
         cpus(count)
         assert raised(lambda: build_reference_table(sim, 30, 6)) == want
+
+
+def test_a_draw_that_raises_names_its_row(cpus):
+    cpus(2)  # row 28 is in the worker's block, so the error is pickled on its way
+    with pytest.raises(SimulationError) as info:
+        build_reference_table(ToyBadDrawAt("raises", (28,), 30, seed=6), 30, 6)
+    err = info.value
+    assert str(err) == (
+        "simulator failed at reference-table row 28 in draw_prior: float division by zero"
+    )
+    assert err.row == 28 and err.theta.size == 0 and isinstance(err.cause, ZeroDivisionError)
+
+
+class MisshapenBatch(ToySimulator):
+    """toy-gaussian whose table batch drops its last row or its last column."""
+
+    def __init__(self, drop):
+        super().__init__("gaussian")
+        self.drop = drop
+
+    def prior_predictive_rows(self, indices, rng):
+        rows = super().prior_predictive_rows(indices, rng)
+        return rows[:-1] if self.drop == "row" else rows[:, :-1]
+
+
+@pytest.mark.parametrize("drop", ["row", "column"])
+def test_a_misshapen_batch_gives_the_per_row_loops_table(cpus, drop):
+    sim = MisshapenBatch(drop)
+    want = table_by_the_loop(sim, 30, 6)
+    for count in WORKERS:
+        cpus(count)
+        assert table_bytes(build_reference_table(sim, 30, 6)) == want.tobytes()
 
 
 def test_a_batch_that_succeeds_draws_each_row_once(cpus, tmp_path):
