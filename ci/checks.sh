@@ -46,18 +46,21 @@ python -m pytest -q -m "not acceptance" --durations=10
 # that the parallel and coalescent tests compare across worker counts travel
 # as one array, so those run here too, and so does the toy table batch, whose
 # rows must equal the per-row loop's under either dispatch (the Laplace rows
-# take np.log of a whole block's samples at once). Of tests/test_toy.py only
-# its two batch tests run here, by node id: its toy-laplace golden digest was
-# recorded with numpy's AVX-512 np.log and fails without it (ROADMAP item 12),
-# so the whole file runs in the unit step above only. This step has not yet
-# run on a hosted runner.
-step "Unit tests without AVX-512 kernels: the eleven files and two toy batch tests below"
+# take np.log of a whole block's samples at once), and so do the toy moments,
+# whose every row must equal the plain np.mean formula. Of tests/test_toy.py
+# only its two batch tests and two moments tests run here, by node id: its
+# toy-laplace golden digest was recorded with numpy's AVX-512 np.log and fails
+# without it (ROADMAP item 12), so the whole file runs in the unit step above
+# only. This step has not yet run on a hosted runner.
+step "Unit tests without AVX-512 kernels: the eleven files and four toy tests below"
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" python -m pytest -q \
   tests/test_core.py tests/test_gof.py tests/test_rejection.py tests/test_metamorphic.py \
   tests/test_adjust.py tests/test_ppc.py tests/test_pca.py tests/test_harness.py \
   tests/test_parallel.py tests/test_coalescent.py tests/test_table_batch.py \
   tests/test_toy.py::test_batched_rows_match_the_per_row_loop_in_bytes_and_generator_state \
-  tests/test_toy.py::test_batched_rows_refuse_the_first_nonpositive_variance
+  tests/test_toy.py::test_batched_rows_refuse_the_first_nonpositive_variance \
+  tests/test_toy.py::test_moments_are_byte_identical_to_the_mean_formula \
+  tests/test_toy.py::test_moments_of_a_million_values_are_byte_identical_to_the_mean_formula
 
 # Again at an affinity of one CPU, so seeded_blocks' serial path (one block,
 # the whole table in one batch) runs at real affinity.

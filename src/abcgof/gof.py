@@ -48,6 +48,16 @@ class Simulator(abc.ABC):
     scale ("identity", "log" or "logit") on which the regression adjustment
     handles each parameter, so constrained parameters stay inside their
     support; see :func:`abcgof.adjust.adjusted_posterior`.
+
+    A class may add two batches, each used only where its class is, or
+    derives from, the class that defines :meth:`simulate` (:func:`_has_batch`);
+    without one, the checked per-row loop runs. ``simulate_rows(thetas, rng)``
+    gives one statistic vector per row of `thetas`, with the bytes, and the
+    final `rng` state, of :meth:`simulate` called row by row.
+    ``prior_predictive_rows(indices, rng)`` gives reference-table rows
+    `indices`: row r has the bytes :func:`prior_predictive` gives on
+    ``rng(indices[r])``, the prior draw then its statistics, and a prior draw
+    of the wrong length, which the assembled rows cannot show, raises.
     """
 
     name: str = "simulator"
@@ -62,28 +72,6 @@ class Simulator(abc.ABC):
     @abc.abstractmethod
     def simulate(self, theta, rng: np.random.Generator) -> np.ndarray:
         """Simulate one summary-statistic vector for the given parameters."""
-
-    def simulate_rows(self, thetas, rng: np.random.Generator) -> np.ndarray:
-        """One statistic vector per row of `thetas`, simulated in turn on `rng`.
-
-        An override must give the same bytes, and leave `rng` in the same
-        state, as this default: :meth:`simulate` called row by row. It is
-        used only where its class is, or derives from, the class that defines
-        :meth:`simulate` (:func:`_has_batch`).
-        """
-        return np.array([self.simulate(theta, rng) for theta in thetas], dtype=float)
-
-    def prior_predictive_rows(self, indices, rng) -> np.ndarray | None:
-        """Reference-table rows `indices` in one batch, or None (this default) for none.
-
-        ``rng(i)`` makes row i's own generator. Row r of the (rows, p + k)
-        result must have the bytes :func:`prior_predictive` gives on
-        ``rng(indices[r])``: the prior draw, then its statistics. An override
-        refuses, by raising, a prior draw of the wrong length, which the
-        assembled rows cannot show. It is used as :meth:`simulate_rows` is;
-        see :func:`table_rows`.
-        """
-        return None
 
     def config(self) -> dict:
         """A JSON-serializable description used in manifests and result echoes."""
@@ -164,11 +152,11 @@ def table_rows(simulator: Simulator, indices, rng) -> np.ndarray:
     """Reference-table rows `indices`: row i is :func:`prior_predictive` on ``rng(i)``.
 
     Where the simulator's class has a batch of its own (:func:`_has_batch`),
-    one :meth:`Simulator.prior_predictive_rows` call computes each run of up
-    to 4096 rows. If it gives none (None), raises, or returns the wrong shape
-    or a non-finite value, that run's rows are computed one by one from fresh
-    generators, as every row is where there is no batch, and the first
-    failing row raises its :class:`SimulationError`.
+    one ``prior_predictive_rows`` call computes each run of up to 4096 rows.
+    If it raises, or returns the wrong shape or a non-finite value, that
+    run's rows are computed one by one from fresh generators, as every row
+    is where there is no batch, and the first failing row raises its
+    :class:`SimulationError`.
     """
     if not _has_batch(simulator, "prior_predictive_rows"):
         return _checked_rows(simulator, indices, rng)
@@ -331,11 +319,12 @@ def posterior_replicates(
     """Simulate n' statistic vectors from the adjusted posterior for `observed`.
 
     A simulator whose statistics are not the table's raises DataError first.
-    The n' draws are simulated by one :meth:`Simulator.simulate_rows` call
-    when the simulator's class has a batch of its own (:func:`_has_batch`).
-    If it raises, or returns the wrong shape or a non-finite row, or there is
-    no batch, the draws are simulated one by one from the same generator
-    state, and the first failing draw raises :class:`SimulationError`.
+    The n' draws are simulated by one ``simulate_rows`` call (see
+    :class:`Simulator`) when the simulator's class has a batch of its own
+    (:func:`_has_batch`). If it raises, or returns the wrong shape or a
+    non-finite row, or there is no batch, the draws are simulated one by one
+    from the same generator state, and the first failing draw raises
+    :class:`SimulationError`.
     """
     check_model_stats(simulator, table)
     if n_prime < 1:

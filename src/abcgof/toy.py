@@ -45,37 +45,21 @@ def sample_moments(values) -> np.ndarray:
 
     Skewness and kurtosis use biased central moments (n denominators); the
     kurtosis is the raw fourth standardized moment, 3 for Gaussian data.
-
-    Each `np.add.reduce(...) / n` is exactly what `np.mean` computes, without
-    its Python-level wrapper. The central powers are products of
-    ``sq = dev * dev``: ``sq * dev`` and ``sq * sq`` are correctly rounded
-    IEEE multiplications, so they give the same bytes on every CPU, where
-    numpy's SIMD ``dev**3`` and ``dev**4`` depend on the dispatched kernel
-    and cost several times more.
     """
-    x = np.asarray(values, dtype=float)
-    n = x.size
-    mean = np.add.reduce(x) / n
-    dev = x - mean
-    sq = dev * dev
-    sum_sq = np.add.reduce(sq)
-    m2 = sum_sq / n
-    m3 = np.add.reduce(sq * dev) / n
-    m4 = np.add.reduce(sq * sq) / n
-    variance = float(sum_sq / (n - 1))
-    skewness = float(m3 / m2**1.5)
-    kurtosis = float(m4 / m2**2)
-    return np.array([float(mean), variance, skewness, kurtosis])
+    return _moments_by_row(np.asarray(values, dtype=float).reshape(1, -1))[0]
 
 
 def _moments_by_row(samples: np.ndarray) -> np.ndarray:
     """:func:`sample_moments` of each row of a 2-D array, as one (rows, 4) array.
 
-    Each row gets the bytes :func:`sample_moments` gives it: the sums along
-    axis 1 round as the 1-D sums do, and skewness and kurtosis are finished
-    row by row on numpy scalars, as there (an array ``m2**1.5`` may round
-    differently, and Python floats raise where a zero or huge ``m2`` gives
-    inf or nan).
+    Each ``np.add.reduce(..., axis=1) / n`` rounds as `np.mean` of the row
+    does, without its Python-level wrapper. The central powers are products
+    of ``sq = dev * dev``: ``sq * dev`` and ``sq * sq`` are correctly rounded
+    IEEE multiplications, so they give the same bytes on every CPU, where
+    numpy's SIMD ``dev**3`` and ``dev**4`` depend on the dispatched kernel
+    and cost several times more. Skewness and kurtosis are finished row by
+    row on numpy scalars (an array ``m2**1.5`` may round differently, and
+    Python floats raise where a zero or huge ``m2`` gives inf or nan).
     """
     n = samples.shape[1]
     mean = np.add.reduce(samples, axis=1) / n

@@ -716,7 +716,10 @@ class FirstTwoMoments(ToySimulator):
 
 
 class FirstTwoMomentsUnbatched(FirstTwoMoments):
-    simulate_rows = Simulator.simulate_rows
+    """FirstTwoMoments with `simulate` defined below its batch, so no batch runs."""
+
+    def simulate(self, theta, rng):
+        return super().simulate(theta, rng)
 
 
 @pytest.mark.parametrize("sim_class", [FirstTwoMoments, FirstTwoMomentsUnbatched],

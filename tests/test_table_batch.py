@@ -1,8 +1,8 @@
 """Reference-table rows built a block at a time against the per-row loop.
 
 The toy models compute each block of table rows in one batch
-(`Simulator.prior_predictive_rows`): one generator per row, one sample
-matrix, one moments call. Every other simulator, and every block whose batch
+(`prior_predictive_rows`; see `abcgof.Simulator`): one generator per row,
+one sample matrix, one moments call. Every other simulator, and every block whose batch
 fails, runs the checked per-row loop. The oracle is that loop:
 `prior_predictive` on each row's own child stream, concatenated
 (`conftest.table_by_the_loop`). Bytes and errors must match it at any worker

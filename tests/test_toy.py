@@ -28,7 +28,7 @@ from abcgof.toy import (
 
 
 def moments_oracle(values):
-    """The straightforward `np.mean` formula that `sample_moments` must match bit for bit."""
+    """The plain `np.mean` formula that each row of `_moments_by_row` must match bit for bit."""
     x = np.asarray(values, dtype=float)
     n = x.size
     mean = x.mean()
@@ -142,12 +142,19 @@ samples = st.one_of(
 )
 
 
-@given(samples)
+@given(samples, st.integers(0, 7), st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_moments_are_byte_identical_to_the_mean_formula(values):
+def test_moments_are_byte_identical_to_the_mean_formula(values, extra_rows, seed):
+    # A block of 1-8 rows: the sample, then rows resampled from its values.
+    x = np.asarray(values, dtype=float)
+    block = np.vstack([x, np.random.default_rng(seed).choice(x, (extra_rows, x.size))])
     # A constant sample gives 0/0 in both; the NaNs must match too.
     with np.errstate(divide="ignore", invalid="ignore"):
         assert sample_moments(values).tobytes() == moments_oracle(values).tobytes()
+        for row, moments in zip(block, _moments_by_row(block)):
+            want = moments_oracle(row).tobytes()
+            assert moments.tobytes() == want
+            assert sample_moments(row).tobytes() == want
 
 
 def test_moments_of_a_million_values_are_byte_identical_to_the_mean_formula():
@@ -185,7 +192,7 @@ def test_batched_rows_refuse_the_first_nonpositive_variance():
 
 
 # SHA-256 of toy statistics at fixed seeds, recorded with the product form
-# (`sq * dev`, `sq * sq`) of the central moments in `sample_moments`. A change
+# (`sq * dev`, `sq * sq`) of the central moments in `_moments_by_row`. A change
 # here means the toy random streams or arithmetic changed.
 GOLDEN_TOY_TABLE_DIGESTS = {
     "toy-gaussian": "d305ca80bedec865f26f6b8d34d96b8a0e2cf84f307a160a94a6dd075c4450a8",
