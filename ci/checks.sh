@@ -28,6 +28,16 @@ step "Console script: simulate, then rerun reproduces the files; a data error ex
   test "$code" -eq 2
   test "$(grep -c '^abcgof: E_DATA:' study.err)" -eq 1
   test ! -s study.out
+  # a record separator (\x1e) inside a cell is a bad cell, not a line break:
+  # gfit too exits 2 with one E_DATA line and no stdout
+  printf 'param_a\tstat_b\tstat_c\n\0360\t0.0\t0.0\n0.0\t0.0\t1.0\n' > sep.tsv
+  printf 'stat_b\tstat_c\n1.0\t2.0\n' > obs.tsv
+  code=0
+  "${abcgof[@]}" gfit --table sep.tsv --observed obs.tsv --M 1 > gfit.out 2> gfit.err || code=$?
+  cat gfit.err
+  test "$code" -eq 2
+  test "$(grep -c '^abcgof: E_DATA:' gfit.err)" -eq 1
+  test ! -s gfit.out
 )
 
 step "Library: README's python block runs, and a star import finds every name in __all__"

@@ -7,14 +7,18 @@ statistic space with median absolute deviations, and compares statistic
 vectors with a scaled Euclidean distance. All types are immutable after
 construction and all operations are pure functions.
 
-File format: UTF-8 TSV (no byte-order mark) with a header line. Parameter columns are prefixed
-``param_``, statistic columns ``stat_``; numbers use the C locale and no
-cell may be empty or non-numeric. An observed-statistics file uses the same
-format restricted to ``stat_`` columns and exactly one data row.
+File format: UTF-8 TSV (no byte-order mark) with a header line. Parameter
+columns are prefixed ``param_``, statistic columns ``stat_``; each cell is
+read by Python's ``float`` and must be finite. Only LF, CRLF and CR end a
+line, and empty lines are skipped. A file is read in one pass, a block of
+lines at a time. An observed-statistics file uses the same format
+restricted to ``stat_`` columns and exactly one data row.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import warnings
@@ -27,7 +31,7 @@ import numpy as np
 # uniformly to every column, so it cancels in P-value ranks.
 MAD_CONSISTENCY = 1.4826
 
-# Data lines converted per ``np.array`` call when a TSV table is loaded;
+# Data lines read and converted at a time when a TSV table is loaded;
 # 256 and 1024 parse equally fast, and larger blocks only hold more memory.
 PARSE_BLOCK_ROWS = 1024
 
@@ -253,78 +257,68 @@ def distance(a, b, scaling: ScalingVector) -> float:
 # TSV input / output
 
 
-def _read_rows(path) -> tuple[list[str], list[str]]:
-    """The header's cells and the data lines, unsplit; empty lines are skipped."""
+def _parse_block(header: list[str], block: list[str], first: int, path) -> np.ndarray:
+    """Parse a block of data lines into a float matrix, or name its first bad row or cell.
+
+    The lines' field counts are checked first, so a short and a long row
+    cannot realign; then every cell goes through one ``float`` call; then
+    the values must be finite. A block that fails is walked line by line,
+    in order, with the same ``float``: that pass finds the bad row or cell.
+    """
+    k = len(header)
+    if all(line.count("\t") == k - 1 for line in block):
+        with contextlib.suppress(ValueError):
+            values = np.fromiter(map(float, "\t".join(block).split("\t")), float, len(block) * k)
+            if np.isfinite(values).all():
+                return values.reshape(-1, k)
+    for i, line in enumerate(block, start=first):
+        row = line.split("\t")
+        if len(row) != k:
+            raise DataError(f"{path}: data row {i} has {len(row)} fields, header has {k}")
+        for column, cell in zip(header, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-numeric cell at data row {i}, column {column!r}: {cell!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise DataError(
+                    f"{path}: non-finite cell at data row {i}, column {column!r}: {cell!r}"
+                )
+    raise AssertionError(f"{path}: a block from data row {first} failed but has no bad cell")
+
+
+def _read_table(path, columns):
+    """Read a TSV file in one pass: ``(columns(header, path), data matrix)``.
+
+    `columns` checks the header before any data line is parsed. Only the
+    universal newlines (LF, CRLF, CR) end a line, and empty lines are
+    skipped. Data lines are read and parsed `PARSE_BLOCK_ROWS` at a time,
+    so the file's whole text and a list of all its lines are never held.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            head = fh.readline()
+            if head.startswith("\ufeff"):
+                raise DataError(f"{path}: starts with a UTF-8 byte-order mark; save it without one")
+            if not head.strip():
+                raise DataError(f"{path}: missing header")
+            header = head.removesuffix("\n").split("\t")
+            names = columns(header, path)
+            lines = filter(None, (line.removesuffix("\n") for line in fh))
+            blocks = []
+            while block := list(itertools.islice(lines, PARSE_BLOCK_ROWS)):
+                blocks.append(_parse_block(header, block, len(blocks) * PARSE_BLOCK_ROWS + 1, path))
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not valid UTF-8: {exc}") from None
-    if text.startswith("\ufeff"):
-        raise DataError(f"{path}: starts with a UTF-8 byte-order mark; save it without one")
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise DataError(f"{path}: missing header")
-    header = lines[0].split("\t")
-    rows = [line for line in lines[1:] if line != ""]
-    return header, rows
+    return names, np.concatenate(blocks) if blocks else np.empty((0, len(header)))
 
 
-def _parse_cell(cell: str, row: int, column: str, path) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise DataError(
-            f"{path}: non-numeric cell at data row {row}, column {column!r}: {cell!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise DataError(
-            f"{path}: non-finite cell at data row {row}, column {column!r}: {cell!r}"
-        )
-    return value
-
-
-def _parse_block(header: list[str], block: list[list[str]], first: int, path) -> list:
-    """Parse a block's rows cell by cell, in order, naming the first bad row or cell."""
-    values = []
-    for i, row in enumerate(block, start=first):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: data row {i} has {len(row)} fields, header has {len(header)}"
-            )
-        values.append([_parse_cell(cell, i, header[j], path) for j, cell in enumerate(row)])
-    return values
-
-
-def _parse_matrix(header: list[str], lines: list[str], path) -> np.ndarray:
-    """Parse TSV data lines into one float array, `PARSE_BLOCK_ROWS` lines at a time.
-
-    Each block's lines are split and converted by one ``np.array`` call, so
-    besides the lines and the result only one block of split cells is alive
-    at a time. A block that call rejects (a ragged row, a cell ``float``
-    refuses) or that holds a non-finite value is parsed again by
-    `_parse_block`, which names the first bad row or cell; if it finds
-    none, its values are used.
-    """
-    data = np.empty((len(lines), len(header)), dtype=float)
-    for lo in range(0, len(lines), PARSE_BLOCK_ROWS):
-        block = [line.split("\t") for line in lines[lo:lo + PARSE_BLOCK_ROWS]]
-        try:
-            values = np.array(block, dtype=float)
-            parsed = values.shape == (len(block), len(header)) and np.isfinite(values).all()
-        except ValueError:
-            parsed = False
-        if not parsed:
-            values = _parse_block(header, block, lo + 1, path)
-        data[lo:lo + len(block)] = values
-    return data
-
-
-def load_reference_table(path) -> ReferenceTable:
-    """Load a reference table from TSV (see module docstring for the format)."""
-    header, rows = _read_rows(path)
+def _table_columns(header: list[str], path):
+    """The ``(index, name)`` pairs of a table's parameter and statistic columns."""
     param_cols, stat_cols = [], []
     for j, name in enumerate(header):
         if name.startswith(PARAM_PREFIX):
@@ -340,7 +334,22 @@ def load_reference_table(path) -> ReferenceTable:
         raise DataError(f"{path}: no parameter columns")
     if not stat_cols:
         raise DataError(f"{path}: no statistic columns")
-    data = _parse_matrix(header, rows, path)
+    return param_cols, stat_cols
+
+
+def _observed_names(header: list[str], path) -> list[str]:
+    for name in header:
+        if not name.startswith(STAT_PREFIX):
+            raise DataError(
+                f"{path}: observed files may only contain {STAT_PREFIX!r} columns, "
+                f"got {name!r}"
+            )
+    return [n[len(STAT_PREFIX):] for n in header]
+
+
+def load_reference_table(path) -> ReferenceTable:
+    """Load a reference table from TSV (see module docstring for the format)."""
+    (param_cols, stat_cols), data = _read_table(path, _table_columns)
     return ReferenceTable(
         param_names=[n for _, n in param_cols],
         stat_names=[n for _, n in stat_cols],
@@ -351,20 +360,10 @@ def load_reference_table(path) -> ReferenceTable:
 
 def load_observed(path) -> ObservedStats:
     """Load an observed-statistics file: ``stat_`` columns, one data row."""
-    header, rows = _read_rows(path)
-    for name in header:
-        if not name.startswith(STAT_PREFIX):
-            raise DataError(
-                f"{path}: observed files may only contain {STAT_PREFIX!r} columns, "
-                f"got {name!r}"
-            )
-    if len(rows) != 1:
-        raise DataError(f"{path}: expected exactly one data row, got {len(rows)}")
-    data = _parse_matrix(header, rows, path)
-    return ObservedStats(
-        stat_names=[n[len(STAT_PREFIX):] for n in header],
-        values=data[0],
-    )
+    names, data = _read_table(path, _observed_names)
+    if len(data) != 1:
+        raise DataError(f"{path}: expected exactly one data row, got {len(data)}")
+    return ObservedStats(stat_names=names, values=data[0])
 
 
 def tsv_text(header, rows) -> str:

@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import abcgof
@@ -665,6 +665,7 @@ def malformed_tables(draw):
 
 @given(malformed_tables())
 @settings(max_examples=200, deadline=None)
+@example(("non-numeric", b"param_a\tstat_b\tstat_c\n\x1e0\t0.0\t0.0\n0.0\t0.0\t1.0\n"))
 def test_gfit_on_a_malformed_table_is_one_data_error_line(case):
     kind, data = case
     with tempfile.TemporaryDirectory() as tmp:

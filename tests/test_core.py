@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abcgof import (
@@ -93,9 +93,21 @@ def test_mad_translation_invariant(values, shift):
 
 @given(st.lists(finite_floats, min_size=1, max_size=40), st.floats(-1e3, 1e3, allow_nan=False))
 @settings(max_examples=150)
+@example(values=[-1e6, -999999.9999999999], factor=17.0)
 def test_mad_absolutely_homogeneous(values, factor):
     x = np.array(values)
-    assert mad(factor * x) == pytest.approx(abs(factor) * mad(x), rel=1e-9, abs=1e-9)
+    # Each rounding of a value v errs by at most u|v|, u = eps / 2 (plus half a
+    # subnormal if v underflows); every value here is at most 2FM in size, with
+    # F = |factor| and M = max|x|; and a median moves by at most the largest
+    # error of its inputs. In units of uFM, the left side's factor * x errs by
+    # 1, its center by 1 + 1 (the midpoint's rounding), each |y - center| by
+    # 1 + 2 + 2, their median by 5 + 2, and the 1.4826 product by
+    # 1.4826 * (7 + 2). On the right, mad(x) errs by 1.4826 * 7 and
+    # |factor| * mad(x) by 1.4826 * (7 + 2). So the sides differ by at most
+    # 1.4826 * 18 uFM < 13.4 eps F M, and C = 16 covers that.
+    size = abs(factor) * np.abs(x).max()
+    bound = 16 * (np.finfo(float).eps * size + 5e-324)
+    assert mad(factor * x) == pytest.approx(abs(factor) * mad(x), rel=1e-9, abs=bound)
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=60))
@@ -478,7 +490,7 @@ def write_rows(path, rows, blank_before=()):
     for i, row in enumerate(rows):
         lines.extend([""] * blank_before.count(i))
         lines.append("\t".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def assert_loads_as_oracle(path, rows):
@@ -532,6 +544,43 @@ def test_loader_skips_blank_lines_across_a_block_boundary(tmp_path, bad):
     assert_loads_as_oracle(tmp_path / "t.tsv", rows)
 
 
+@pytest.mark.parametrize("order", [("short", "long"), ("long", "short")], ids="-".join)
+def test_a_short_and_a_long_row_in_one_block_do_not_realign(tmp_path, order):
+    rows = block_rows(BLOCK)
+    for i, kind in enumerate(order, start=BLOCK // 2):
+        rows[i] = rows[i][:-1] if kind == "short" else rows[i] + ["1.0"]
+    write_rows(tmp_path / "t.tsv", rows)
+    with pytest.raises(DataError) as info:
+        load_reference_table(tmp_path / "t.tsv")
+    fields = 2 if order[0] == "short" else 4
+    assert str(info.value) == (
+        f"{tmp_path / 't.tsv'}: data row {BLOCK // 2 + 1} has {fields} fields, header has 3"
+    )
+
+
+# str.splitlines also ends a line at these; a table line ends only at LF, CRLF or CR.
+SPLITLINES_ONLY_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("char", SPLITLINES_ONLY_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_a_splitlines_break_inside_a_cell_does_not_end_the_row(tmp_path, char):
+    rows = [["1.0", "2.0", "3.0"], ["4.0", f"2{char}5", "6.0"], ["7.0", "8.0", "9.0"]]
+    write_rows(tmp_path / "t.tsv", rows)
+    assert_loads_as_oracle(tmp_path / "t.tsv", rows)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_lines_load_as_lf_lines(tmp_path, newline):
+    rows = block_rows(BLOCK + 3)
+    write_rows(tmp_path / "lf.tsv", rows, blank_before=(2, BLOCK))
+    text = (tmp_path / "lf.tsv").read_text(encoding="utf-8")
+    (tmp_path / "t.tsv").write_bytes(text.replace("\n", newline).encode("utf-8"))
+    want, got = load_reference_table(tmp_path / "lf.tsv"), load_reference_table(tmp_path / "t.tsv")
+    assert got.param_names == want.param_names and got.stat_names == want.stat_names
+    assert got.params.tobytes() == want.params.tobytes()
+    assert got.stats.tobytes() == want.stats.tobytes()
+
+
 def test_loader_peak_memory_is_a_few_times_the_matrix(tmp_path):
     n = 20_000
     rng = np.random.default_rng(3)
@@ -545,4 +594,4 @@ def test_loader_peak_memory_is_a_few_times_the_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded.stats.tobytes() == table.stats.tobytes()
-    assert peak < 10 * n * 6 * 8
+    assert peak < 4 * n * 6 * 8
