@@ -28,6 +28,17 @@ step "Console script: simulate, then rerun reproduces the files; a data error ex
   test "$code" -eq 2
   test "$(grep -c '^abcgof: E_DATA:' study.err)" -eq 1
   test ! -s study.out
+  # calibration with a truth that is not the null: exit 2, one E_DATA line, no
+  # stdout; with the null as its truth the same study runs
+  code=0
+  "${abcgof[@]}" study calibrate --null toy-gaussian --truth toy-laplace --n-sims 50 \
+    --n-datasets 2 --M 5 > cal.out 2> cal.err || code=$?
+  cat cal.err
+  test "$code" -eq 2
+  test "$(grep -c '^abcgof: E_DATA: calibration requires truth = null model$' cal.err)" -eq 1
+  test ! -s cal.out
+  "${abcgof[@]}" study calibrate --null toy-gaussian --truth toy-gaussian --n-sims 50 \
+    --n-datasets 2 --M 5 > cal.out
   # a record separator (\x1e) inside a cell is a bad cell, not a line break:
   # gfit too exits 2 with one E_DATA line and no stdout
   printf 'param_a\tstat_b\tstat_c\n\0360\t0.0\t0.0\n0.0\t0.0\t1.0\n' > sep.tsv

@@ -16,12 +16,11 @@ import argparse
 import hashlib
 import json
 import sys
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
-from . import pca, ppc
+from . import __version__, pca, ppc
 from .core import (
     DataError,
     ObservedStats,
@@ -34,11 +33,6 @@ from .core import (
 from .gof import SimulationError, gfit, gfit_post, posterior_replicates
 from .harness import PowerStudyConfig, emit_pvalue_histogram, run_calibration, run_power
 from .models import MODEL_NAMES, STAT_SETS, build_reference_table, get_simulator
-
-try:
-    __version__ = metadata.version("abcgof")
-except metadata.PackageNotFoundError:  # running from a source tree
-    __version__ = "0.1.0"
 
 
 class UsageError(Exception):
@@ -183,15 +177,15 @@ def _load_inputs(args):
     return load_reference_table(args.table), load_observed(args.observed)
 
 
-def _model(args):
-    return get_simulator(args.model, sample_size=args.sample_size, stat_set=args.stats)
+def _model(args, name):
+    return get_simulator(name, sample_size=args.sample_size, stat_set=args.stats)
 
 
 # Each _cmd_* returns (stdout text, {output file name: text}).
 
 
 def _cmd_simulate(args):
-    simulator = _model(args)
+    simulator = _model(args, args.model)
     table = build_reference_table(simulator, args.n, args.seed)
     if args.out is None:
         return reference_table_tsv(table), {}
@@ -209,7 +203,7 @@ def _cmd_gfit(args):
 
 def _cmd_gfit_post(args):
     table, observed = _load_inputs(args)
-    simulator = _model(args)
+    simulator = _model(args, args.model)
     result = gfit_post(
         table, observed, args.rate, simulator, args.n_prime, args.M, args.seed
     )
@@ -219,7 +213,7 @@ def _cmd_gfit_post(args):
 
 def _cmd_ppc(args):
     table, observed = _load_inputs(args)
-    simulator = _model(args)
+    simulator = _model(args, args.model)
     scaling = fit_scaling(table)
     obs = ObservedStats(stat_names=table.stat_names, values=observed.align(table))
     rng = np.random.default_rng(args.seed)
@@ -254,10 +248,9 @@ def _cmd_study(args):
     if args.mode == "power" and args.truth is None:
         raise UsageError("study power requires --truth")
     M = args.M if args.M is not None else (500 if args.stat == "prior" else 200)
-    options = {"sample_size": args.sample_size, "stat_set": args.stats}
     config = PowerStudyConfig(
-        null_model=args.null,
-        alt_model=args.truth,
+        null_model=_model(args, args.null),
+        alt_model=None if args.truth is None else _model(args, args.truth),
         statistic=args.stat,
         n_sims=args.n_sims,
         n_datasets=args.n_datasets,
@@ -266,7 +259,6 @@ def _cmd_study(args):
         n_prime=args.n_prime,
         alpha=args.alpha,
         master_seed=args.seed,
-        model_options=options,
     )
     result = run_calibration(config) if args.mode == "calibrate" else run_power(config)
     text = json_text(result.to_dict())

@@ -299,21 +299,30 @@ def _read_table(path, columns):
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            head = fh.readline()
-            if head.startswith("\ufeff"):
-                raise DataError(f"{path}: starts with a UTF-8 byte-order mark; save it without one")
-            if not head.strip():
-                raise DataError(f"{path}: missing header")
-            header = head.removesuffix("\n").split("\t")
-            names = columns(header, path)
-            lines = filter(None, (line.removesuffix("\n") for line in fh))
-            blocks = []
-            while block := list(itertools.islice(lines, PARSE_BLOCK_ROWS)):
-                blocks.append(_parse_block(header, block, len(blocks) * PARSE_BLOCK_ROWS + 1, path))
+            try:
+                head = fh.readline()
+                if head.startswith("\ufeff"):
+                    raise DataError(
+                        f"{path}: starts with a UTF-8 byte-order mark; save it without one"
+                    )
+                if not head.strip():
+                    raise DataError(f"{path}: missing header")
+                header = head.removesuffix("\n").split("\t")
+                names = columns(header, path)
+                lines = filter(None, (line.removesuffix("\n") for line in fh))
+                blocks = []
+                while block := list(itertools.islice(lines, PARSE_BLOCK_ROWS)):
+                    first = len(blocks) * PARSE_BLOCK_ROWS + 1
+                    blocks.append(_parse_block(header, block, first, path))
+            except UnicodeDecodeError as exc:
+                # exc.object is the chunk being decoded, which ends at the
+                # buffer's position; exc.start counts from the chunk's start.
+                offset = fh.buffer.tell() - len(exc.object) + exc.start
+                raise DataError(
+                    f"{path} is not valid UTF-8 at byte {offset}: {exc.reason}"
+                ) from None
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not valid UTF-8: {exc}") from None
     return names, np.concatenate(blocks) if blocks else np.empty((0, len(header)))
 
 
@@ -350,11 +359,15 @@ def _observed_names(header: list[str], path) -> list[str]:
 def load_reference_table(path) -> ReferenceTable:
     """Load a reference table from TSV (see module docstring for the format)."""
     (param_cols, stat_cols), data = _read_table(path, _table_columns)
+    # One reordered copy, parameters then statistics; rebinding releases the
+    # parsed matrix, so the load peaks at twice the matrix, not three times.
+    data = data[:, [j for j, _ in param_cols + stat_cols]]
+    params, stats = np.hsplit(data, [len(param_cols)])
     return ReferenceTable(
         param_names=[n for _, n in param_cols],
         stat_names=[n for _, n in stat_cols],
-        params=data[:, [j for j, _ in param_cols]],
-        stats=data[:, [j for j, _ in stat_cols]],
+        params=params,
+        stats=stats,
     )
 
 

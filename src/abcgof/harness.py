@@ -1,8 +1,9 @@
 """Calibration and power studies over repeated simulated datasets.
 
-One reference table of `n_sims` simulations is built from the null model and
-shared across all `n_datasets` evaluations, as is the null distribution of
-the test statistic: the null distribution depends only on the table, so
+Both models are :class:`~abcgof.gof.Simulator` instances. One reference
+table of `n_sims` simulations is built from the null model and shared
+across all `n_datasets` evaluations, as is the null distribution of the
+test statistic: the null distribution depends only on the table, so
 computing it once is identical to recomputing it per dataset with the same
 stream. Each dataset then costs one observed-statistic evaluation (plus n'
 posterior replicates for the posterior statistic). The master seed's
@@ -11,7 +12,7 @@ streams are laid out in :mod:`abcgof.parallel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .gof import (
     prior_predictive,
     require_leave_one_out_rows,
 )
-from .models import build_reference_table, get_simulator
+from .models import build_reference_table
 from .parallel import children, seeded_map
 
 
@@ -33,13 +34,13 @@ from .parallel import children, seeded_map
 class PowerStudyConfig:
     """Settings for one calibration or power study.
 
-    Models may be registry names (resolved via :func:`abcgof.models.get_simulator`
-    with `model_options`) or :class:`Simulator` instances. `alt_model` is the
-    data-generating truth; leave it None for calibration runs (truth = null).
+    `null_model` is the :class:`Simulator` the reference table and the null
+    distribution come from; `alt_model` is the data-generating truth, left
+    None for calibration runs (truth = null).
     """
 
-    null_model: object
-    alt_model: object = None
+    null_model: Simulator
+    alt_model: Simulator | None = None
     statistic: str = "prior"
     n_sims: int = 10_000
     n_datasets: int = 500
@@ -48,9 +49,15 @@ class PowerStudyConfig:
     n_prime: int = 100
     alpha: float = 0.05
     master_seed: int = 0
-    model_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.null_model, Simulator) or not isinstance(
+            self.alt_model, (Simulator, type(None))
+        ):
+            raise TypeError(
+                "null_model and alt_model must be Simulator instances, as "
+                f"get_simulator(name, ...) returns; got {self.null_model!r}, {self.alt_model!r}"
+            )
         if self.statistic not in STATISTIC_KINDS:
             raise ValueError(f"statistic must be one of {STATISTIC_KINDS}")
         if min(self.n_sims, self.n_datasets, self.M, self.n_prime) < 1:
@@ -80,16 +87,11 @@ class PowerStudyResult:
         }
 
 
-def _resolve(model, options: dict) -> Simulator:
-    if isinstance(model, Simulator):
-        return model
-    return get_simulator(str(model), **options)
-
-
-def _study(config: PowerStudyConfig, null_sim: Simulator, alt_sim: Simulator) -> PowerStudyResult:
+def _study(config: PowerStudyConfig, truth: Simulator) -> PowerStudyResult:
+    null_sim = config.null_model
     # Before the table. k = 1 is the least a table keeps (fit_scaling refuses
     # none); the exact check follows the table.
-    check_model_stats(alt_sim, null_sim)
+    check_model_stats(truth, null_sim)
     if config.statistic == "post":
         require_leave_one_out_rows(
             config.acceptance_rate, config.n_sims, len(null_sim.param_names), 1
@@ -102,28 +104,21 @@ def _study(config: PowerStudyConfig, null_sim: Simulator, alt_sim: Simulator) ->
     )
 
     def one(i, rng):
-        return p_value(statistic(prior_predictive(alt_sim, rng)[1], rng), nulls)
+        return p_value(statistic(prior_predictive(truth, rng)[1], rng), nulls)
 
     p_values = np.array(seeded_map(one, data_seed, config.n_datasets))
 
     from scipy import stats as sps  # deferred: importing scipy.stats takes ~1 s
 
+    echo = {f.name: getattr(config, f.name) for f in fields(config)}
+    echo.update(null_model=null_sim.config(), alt_model=truth.config())
+    if config.statistic != "post":
+        echo["n_prime"] = None
     return PowerStudyResult(
         rejection_rate=float(np.count_nonzero(p_values < config.alpha) / p_values.size),
         p_values=p_values,
         ks_uniformity_p=float(sps.kstest(p_values, "uniform").pvalue),
-        config_echo={
-            "null_model": null_sim.config(),
-            "alt_model": alt_sim.config(),
-            "statistic": config.statistic,
-            "n_sims": config.n_sims,
-            "n_datasets": config.n_datasets,
-            "acceptance_rate": config.acceptance_rate,
-            "M": config.M,
-            "n_prime": config.n_prime if config.statistic == "post" else None,
-            "alpha": config.alpha,
-            "master_seed": config.master_seed,
-        },
+        config_echo=echo,
     )
 
 
@@ -134,23 +129,19 @@ def run_calibration(config: PowerStudyConfig) -> PowerStudyResult:
     Kolmogorov-Smirnov uniformity P-value checks the calibration of the
     whole P-value distribution.
     """
-    null_sim = _resolve(config.null_model, config.model_options)
-    if config.alt_model is not None:
-        alt_sim = _resolve(config.alt_model, config.model_options)
-        if alt_sim.config() != null_sim.config():
-            raise ValueError("calibration requires truth = null model")
-    return _study(config, null_sim, null_sim)
+    alt = config.alt_model
+    if alt is not None and alt.config() != config.null_model.config():
+        raise ValueError("calibration requires truth = null model")
+    return _study(config, config.null_model)
 
 
 def run_power(config: PowerStudyConfig) -> PowerStudyResult:
     """Power study: datasets from the alternative, tested against the null table."""
-    null_sim = _resolve(config.null_model, config.model_options)
     if config.alt_model is None:
         raise ValueError("a power study needs an alternative model")
-    alt_sim = _resolve(config.alt_model, config.model_options)
-    if alt_sim.config() == null_sim.config():
+    if config.alt_model.config() == config.null_model.config():
         raise ValueError("power requires truth != null model")
-    return _study(config, null_sim, alt_sim)
+    return _study(config, config.alt_model)
 
 
 def emit_pvalue_histogram(result: PowerStudyResult, bins: int) -> str:

@@ -73,14 +73,13 @@ def toy_calibrations():
             start = time.time()
             result = run_calibration(
                 PowerStudyConfig(
-                    null_model=family,
+                    null_model=get_simulator(family, sample_size=50),
                     statistic=statistic,
                     n_sims=10_000,
                     n_datasets=500,
                     M=1000,
                     n_prime=100,
                     master_seed=TOY_CAL_SEED,
-                    model_options={"sample_size": 50},
                 )
             )
             out[(family, statistic)] = (result, time.time() - start)
@@ -101,15 +100,14 @@ def toy_power():
     for (statistic, size, _), (null, truth, M) in configs.items():
         result = run_power(
             PowerStudyConfig(
-                null_model=null,
-                alt_model=truth,
+                null_model=get_simulator(null, sample_size=size),
+                alt_model=get_simulator(truth, sample_size=size),
                 statistic=statistic,
                 n_sims=10_000,
                 n_datasets=1000,
                 M=M,
                 n_prime=100,
                 master_seed=TOY_POWER_SEED,
-                model_options={"sample_size": size},
             )
         )
         out[(statistic, size)] = out.get((statistic, size), {})
@@ -124,13 +122,12 @@ def demographic_calibrations():
         for stat_set in ("pi-tajima", "sfs"):
             result = run_calibration(
                 PowerStudyConfig(
-                    null_model=model,
+                    null_model=get_simulator(model, stat_set=stat_set),
                     statistic="prior",
                     n_sims=10_000,
                     n_datasets=500,
                     M=1000,
                     master_seed=DEMO_CAL_SEED,
-                    model_options={"stat_set": stat_set},
                 )
             )
             out[(model, stat_set)] = result
@@ -143,26 +140,24 @@ def demographic_power():
     for stat_set in ("pi-tajima", "sfs"):
         reject_bott = run_power(
             PowerStudyConfig(
-                null_model="bottleneck",
-                alt_model="expansion",
+                null_model=get_simulator("bottleneck", stat_set=stat_set),
+                alt_model=get_simulator("expansion", stat_set=stat_set),
                 statistic="prior",
                 n_sims=10_000,
                 n_datasets=500,
                 M=500,
                 master_seed=DEMO_POWER_SEEDS[0],
-                model_options={"stat_set": stat_set},
             )
         )
         reject_exp = run_power(
             PowerStudyConfig(
-                null_model="expansion",
-                alt_model="bottleneck",
+                null_model=get_simulator("expansion", stat_set=stat_set),
+                alt_model=get_simulator("bottleneck", stat_set=stat_set),
                 statistic="prior",
                 n_sims=10_000,
                 n_datasets=500,
                 M=500,
                 master_seed=DEMO_POWER_SEEDS[1],
-                model_options={"stat_set": stat_set},
             )
         )
         out[stat_set] = (reject_bott, reject_exp)

@@ -581,6 +581,31 @@ def test_crlf_and_cr_lines_load_as_lf_lines(tmp_path, newline):
     assert got.stats.tobytes() == want.stats.tobytes()
 
 
+UTF8_CASES = [
+    (bad, at)
+    for bad in (b"\xff", b"\xc3\x28", b"\xed\xa0\x80")
+    for at in (0, 5, 8191, 8192, 8193, 20_000)
+] + [(b"\xe2\x82", None)]  # None: a sequence cut off at the end of the file
+
+
+@pytest.mark.parametrize("bad, at", UTF8_CASES, ids=[f"{b.hex()}-at-{a}" for b, a in UTF8_CASES])
+def test_invalid_utf8_is_named_by_its_byte_offset_in_the_file(tmp_path, bad, at):
+    # The file is decoded 8 KiB at a time; the message counts from the file's start.
+    write_rows(tmp_path / "ok.tsv", block_rows(5000))
+    data = (tmp_path / "ok.tsv").read_bytes()
+    at = len(data) if at is None else at
+    data = data[:at] + bad + data[at:]
+    (tmp_path / "t.tsv").write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    assert whole.value.start == at
+    with pytest.raises(DataError) as info:
+        load_reference_table(tmp_path / "t.tsv")
+    assert str(info.value) == (
+        f"{tmp_path / 't.tsv'} is not valid UTF-8 at byte {at}: {whole.value.reason}"
+    )
+
+
 def test_loader_peak_memory_is_a_few_times_the_matrix(tmp_path):
     n = 20_000
     rng = np.random.default_rng(3)
@@ -594,4 +619,4 @@ def test_loader_peak_memory_is_a_few_times_the_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded.stats.tobytes() == table.stats.tobytes()
-    assert peak < 4 * n * 6 * 8
+    assert peak < 2.5 * n * 6 * 8

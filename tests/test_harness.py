@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from proportions import one_sided_two_proportion_p
 
 def tiny_config(**overrides):
     settings = dict(
-        null_model="toy-gaussian",
+        null_model=get_simulator("toy-gaussian"),
         statistic="prior",
         n_sims=400,
         n_datasets=40,
@@ -50,6 +52,25 @@ def test_rejection_rate_is_fraction_below_alpha():
     assert result.rejection_rate == want
     assert 0.0 <= result.ks_uniformity_p <= 1.0
     assert result.config_echo["null_model"]["name"] == "toy-gaussian"
+
+
+@pytest.mark.parametrize("statistic", ["prior", "post"])
+def test_config_echo_has_one_entry_per_config_field(statistic):
+    config = tiny_config(statistic=statistic, n_sims=300, n_datasets=4, M=8, n_prime=10,
+                         acceptance_rate=0.1)
+    echo = run_calibration(config).config_echo
+    assert list(echo) == [f.name for f in dataclasses.fields(PowerStudyConfig)]
+    assert echo["null_model"] == echo["alt_model"] == config.null_model.config()
+    assert echo["n_prime"] == (10 if statistic == "post" else None)
+
+
+@pytest.mark.parametrize("models", [
+    {"null_model": "toy-gaussian"},
+    {"null_model": get_simulator("toy-gaussian"), "alt_model": "toy-laplace"},
+], ids=["null-name", "alt-name"])
+def test_config_refuses_a_model_name(models):
+    with pytest.raises(TypeError, match=r"get_simulator\(name"):
+        PowerStudyConfig(**models)
 
 
 def test_study_is_deterministic_and_thread_invariant():
@@ -108,15 +129,15 @@ def test_post_study_reuses_one_table_and_one_null_distribution():
 
 
 def test_power_study_runs_and_validates_models():
-    config = tiny_config(alt_model="toy-laplace", n_datasets=25)
+    config = tiny_config(alt_model=get_simulator("toy-laplace"), n_datasets=25)
     result = run_power(config)
     assert result.p_values.size == 25
     with pytest.raises(ValueError, match="truth != null"):
-        run_power(tiny_config(alt_model="toy-gaussian"))
+        run_power(tiny_config(alt_model=get_simulator("toy-gaussian")))
     with pytest.raises(ValueError, match="needs an alternative"):
         run_power(tiny_config())
     with pytest.raises(ValueError, match="truth = null"):
-        run_calibration(tiny_config(alt_model="toy-laplace"))
+        run_calibration(tiny_config(alt_model=get_simulator("toy-laplace")))
 
 
 def test_posterior_statistic_study_small():

@@ -223,7 +223,8 @@ def test_an_appended_constant_statistic_keeps_every_byte_of_both_statistics():
 @pytest.mark.parametrize("statistic", ["prior", "post"])
 def test_more_datasets_keep_the_first_p_values(statistic):
     config = dict(
-        null_model="toy-gaussian", alt_model="toy-laplace", statistic=statistic,
+        null_model=ToySimulator("gaussian"), alt_model=ToySimulator("laplace"),
+        statistic=statistic,
         n_sims=2000, M=40, n_prime=30, master_seed=3,
     )
     few = run_power(PowerStudyConfig(n_datasets=10, **config))

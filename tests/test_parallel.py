@@ -99,7 +99,8 @@ def test_posterior_null_bytes_do_not_depend_on_the_worker_count(cpus):
 ])
 def test_study_pvalues_do_not_depend_on_the_worker_count(cpus, statistic, run):
     config = PowerStudyConfig(
-        null_model="toy-gaussian", alt_model="toy-laplace" if run is run_power else None,
+        null_model=get_simulator("toy-gaussian"),
+        alt_model=get_simulator("toy-laplace") if run is run_power else None,
         statistic=statistic, n_sims=300, n_datasets=7, acceptance_rate=0.05, M=9,
         n_prime=6, master_seed=3,
     )

@@ -210,7 +210,8 @@ def test_toy_table_statistics_match_golden_digest(family):
 
 def test_posterior_statistic_study_matches_golden_digest():
     config = PowerStudyConfig(
-        null_model="toy-laplace", alt_model="toy-gaussian", statistic="post",
+        null_model=get_simulator("toy-laplace"), alt_model=get_simulator("toy-gaussian"),
+        statistic="post",
         n_sims=400, n_datasets=5, acceptance_rate=0.05, M=10, n_prime=20, master_seed=3,
     )
     p_values = run_power(config).p_values
