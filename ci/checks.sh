@@ -13,7 +13,7 @@ trap 'rm -rf "$work"' EXIT
 
 step() { printf '\n=== %s\n' "$*"; }
 
-step "Console script: simulate, then rerun reproduces the files; a data error exits 2"
+step "Console script: simulate, then rerun reproduces the files; a data error exits 2; a study runs without scipy"
 (
   cd "$work"
   "${abcgof[@]}" simulate --model toy-gaussian --n 200 --seed 1 --out run
@@ -39,6 +39,12 @@ step "Console script: simulate, then rerun reproduces the files; a data error ex
   test ! -s cal.out
   "${abcgof[@]}" study calibrate --null toy-gaussian --truth toy-gaussian --n-sims 50 \
     --n-datasets 2 --M 5 > cal.out
+  # a study needs no scipy: with a scipy that cannot be imported it prints the same bytes
+  mkdir -p noscipy/scipy
+  echo 'raise ImportError("scipy is blocked")' > noscipy/scipy/__init__.py
+  PYTHONPATH="$PWD/noscipy${PYTHONPATH:+:$PYTHONPATH}" "${abcgof[@]}" study calibrate \
+    --null toy-gaussian --truth toy-gaussian --n-sims 50 --n-datasets 2 --M 5 > blocked.out
+  cmp cal.out blocked.out
   # a record separator (\x1e) inside a cell is a bad cell, not a line break:
   # gfit too exits 2 with one E_DATA line and no stdout
   printf 'param_a\tstat_b\tstat_c\n\0360\t0.0\t0.0\n0.0\t0.0\t1.0\n' > sep.tsv
@@ -68,16 +74,17 @@ python -m pytest -q -m "not acceptance" --durations=10
 # as one array, so those run here too, and so does the toy table batch, whose
 # rows must equal the per-row loop's under either dispatch (the Laplace rows
 # take np.log of a whole block's samples at once), and so do the toy moments,
-# whose every row must equal the plain np.mean formula. Of tests/test_toy.py
+# whose every row must equal the plain np.mean formula, and so does the KS
+# uniformity P-value (tests/test_ks.py). Of tests/test_toy.py
 # only its two batch tests and two moments tests run here, by node id: its
 # toy-laplace golden digest was recorded with numpy's AVX-512 np.log and fails
 # without it (ROADMAP item 12), so the whole file runs in the unit step above
 # only. This step has not yet run on a hosted runner.
-step "Unit tests without AVX-512 kernels: the eleven files and four toy tests below"
+step "Unit tests without AVX-512 kernels: the twelve files and four toy tests below"
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" python -m pytest -q \
   tests/test_core.py tests/test_gof.py tests/test_rejection.py tests/test_metamorphic.py \
   tests/test_adjust.py tests/test_ppc.py tests/test_pca.py tests/test_harness.py \
-  tests/test_parallel.py tests/test_coalescent.py tests/test_table_batch.py \
+  tests/test_parallel.py tests/test_coalescent.py tests/test_table_batch.py tests/test_ks.py \
   tests/test_toy.py::test_batched_rows_match_the_per_row_loop_in_bytes_and_generator_state \
   tests/test_toy.py::test_batched_rows_refuse_the_first_nonpositive_variance \
   tests/test_toy.py::test_moments_are_byte_identical_to_the_mean_formula \

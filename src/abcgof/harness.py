@@ -26,6 +26,7 @@ from .gof import (
     prior_predictive,
     require_leave_one_out_rows,
 )
+from .ks import ks_uniformity_p
 from .models import build_reference_table
 from .parallel import children, seeded_map
 
@@ -107,9 +108,6 @@ def _study(config: PowerStudyConfig, truth: Simulator) -> PowerStudyResult:
         return p_value(statistic(prior_predictive(truth, rng)[1], rng), nulls)
 
     p_values = np.array(seeded_map(one, data_seed, config.n_datasets))
-
-    from scipy import stats as sps  # deferred: importing scipy.stats takes ~1 s
-
     echo = {f.name: getattr(config, f.name) for f in fields(config)}
     echo.update(null_model=null_sim.config(), alt_model=truth.config())
     if config.statistic != "post":
@@ -117,7 +115,7 @@ def _study(config: PowerStudyConfig, truth: Simulator) -> PowerStudyResult:
     return PowerStudyResult(
         rejection_rate=float(np.count_nonzero(p_values < config.alpha) / p_values.size),
         p_values=p_values,
-        ks_uniformity_p=float(sps.kstest(p_values, "uniform").pvalue),
+        ks_uniformity_p=ks_uniformity_p(p_values),
         config_echo=echo,
     )
 

@@ -477,7 +477,7 @@ SIM_BOTTLENECK = "f45df64f725fb04b17964b68603c55f4d217dcaf578ba41930dd8e13e3624a
 SIM_EXPANSION = "64ddcc75e0b0f6b408f30762c2c4c2661760a7c1be711b2d2fce916b41fd6e30"
 SIM_CONSTANT = "711b14bcec81238cbcc6090064ec7bb4f59c24db22b6a013c01918f53c69fe69"
 SIM_TOY = "e6a5a6aa1789005e9c957230b4b8f36e172b3141c2c066e5d7a86d685de133d9"
-STUDY_CALIBRATE = "ee44f4e3eda07a316ce15ca0bcd7a6271f12b28f9af0490192dbe76ce0bcfecb"
+STUDY_CALIBRATE = "76b4d21ba80a36886bd7f4796544893047d1fcd9bb7fc799ebde95e323898048"
 STUDY_PRIOR = "fc9342a58cb0524acf2158905014d7d7c3f3814e5668e375dfaa2f69efef12f5"
 STUDY_POST = "df4e20dfe67cba6182dfdd57e88edee179783e983f45317c9c118d92975bced7"
 GFIT_POST = "a19978a7425f1712fd3530e7ca31839e6e1651a4aa6f8eb4bd33fde0013ff828"
@@ -606,13 +606,51 @@ def test_entry_point_subprocess_roundtrip(tmp_path):
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import and only studies use it
+    # the CLI needs only numpy; importing scipy.stats alone would take about a second
     result = subprocess.run(
         [sys.executable, "-c", "import sys, abcgof.cli; print('scipy.stats' in sys.modules)"],
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0 and result.stdout.strip() == "False"
+
+
+# Runs the CLI on argv[1:] and reports the scipy modules it loaded on stderr;
+# with `block`, scipy cannot be imported at all.
+STUDY_SCRIPT = """
+import sys
+if {block}:
+    sys.modules["scipy"] = None
+from abcgof.cli import main
+code = main(sys.argv[1:])
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"), file=sys.stderr)
+sys.exit(code)
+"""
+SMALL_STUDY = ("study", "calibrate", "--null", "toy-gaussian", "--n-sims", "60",
+               "--n-datasets", "12", "--M", "10", "--rate", "0.1", "--seed", "3")
+
+
+def _study_in_a_subprocess(block: bool):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(abcgof.__file__)), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", STUDY_SCRIPT.format(block=block), *SMALL_STUDY],
+        env=env, capture_output=True, text=True,
+    )
+
+
+def test_a_study_leaves_scipy_unloaded():
+    # the KS uniformity P-value is computed in the package
+    result = _study_in_a_subprocess(block=False)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["ks_uniformity_p"] > 0
+    assert result.stderr.splitlines()[-1] == "[]"
+
+
+def test_a_study_runs_with_scipy_blocked_and_prints_the_same_bytes():
+    free, blocked = _study_in_a_subprocess(block=False), _study_in_a_subprocess(block=True)
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == free.stdout
 
 
 def test_version_flag(capsys):
