@@ -13,7 +13,7 @@ trap 'rm -rf "$work"' EXIT
 
 step() { printf '\n=== %s\n' "$*"; }
 
-step "Console script: simulate, then rerun reproduces the files; a data error exits 2; a study runs without scipy"
+step "Console script: simulate and rerun; data errors exit 2; a study runs without scipy"
 (
   cd "$work"
   "${abcgof[@]}" simulate --model toy-gaussian --n 200 --seed 1 --out run

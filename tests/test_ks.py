@@ -139,11 +139,6 @@ def test_past_n_minus_one_over_n_the_p_value_is_twice_the_gap_to_the_n(n, step):
     assert kolmogorov_sf(n, d) == 2 * (1 - d) ** n
 
 
-def test_the_p_value_at_the_smallest_distance_is_one():
-    for n in SIZES:
-        assert ks_uniformity_p((np.arange(n) + 0.5) / n) == 1.0
-
-
 @pytest.mark.parametrize("values", [[], [0.5, np.nan], [-0.1, 0.5], [0.5, 1.5]])
 def test_values_outside_the_unit_interval_are_refused(values):
     with pytest.raises(ValueError, match=r"in \[0, 1\]"):
